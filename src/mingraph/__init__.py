@@ -12,6 +12,7 @@ from mingraph.grassmann import (
     bernstein_condition,
     graph_plane_basis,
     grassmann_distance,
+    induced_metric,
     jordan_angles,
     plane_inner,
     singular_spectrum,
@@ -82,6 +83,7 @@ __all__ = [
     "weak_harmonicity_defect",
     "graph_plane_basis",
     "grassmann_distance",
+    "induced_metric",
     "jordan_angles",
     "model_affine",
     "model_graph_plane_basis",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mingraph.grassmann import induced_metric
 from mingraph.util import chunk_ranges, run_chunks
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
@@ -281,7 +282,7 @@ def _pad_h(lam, h):
     b, m, n, n2 = h.shape
     if n != n2 or lam.shape != (b, n):
         raise ValueError(f"shape mismatch: lam {lam.shape}, h {h.shape}")
-    if np.max(np.abs(h - np.swapaxes(h, -1, -2))) != 0.0:
+    if np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0) != 0.0:
         raise ValueError("h must be exactly symmetric in its last two indices")
     p = max(m, n)
     if p > m:  # convention: h_{alpha, . .} = 0 for alpha > m
@@ -333,7 +334,7 @@ def delta_logv_rhs(lam, h, return_parts: bool = False):
     parts = np.stack([part_normal, part_diag, part_pair, part_tri], axis=-1)
     total = parts.sum(axis=-1)
     scale = 1.0 + np.abs(rhs)
-    if np.max(np.abs(total - rhs) / scale) > 1e-10:
+    if np.max(np.abs(total - rhs) / scale, initial=0.0) > 1e-10:
         raise AssertionError("regrouped decomposition disagrees with direct value")
     if single:
         rhs = float(rhs[0])
@@ -480,10 +481,9 @@ def xi11(a: np.ndarray) -> np.ndarray:
     single = a.ndim == 2
     if single:
         a = a[None]
-    n = a.shape[-1]
-    b = np.eye(n) + np.einsum("bai,baj->bij", a, a)
+    b, log_v = induced_metric(a)
     first = np.linalg.solve(b, a[:, 0, :, None])[..., 0]  # (b^{-1} a_1)_j
-    out = np.sqrt(np.linalg.det(b)) * first[:, 0]
+    out = np.exp(log_v) * first[:, 0]
     return float(out[0]) if single else out
 
 

@@ -102,7 +102,8 @@ def cmd_verify_algebra(args) -> int:
     _log(out, f"verify-algebra seed={seed} threads={threads}")
 
     reports = [algebra.scan_mu123(step, constraint=constraint, threads=threads)]
-    reports += [algebra.scan_mu123_lambda(lam, step) for lam in lam_values]
+    reports += [algebra.scan_mu123_lambda(lam, step, threads=threads)
+                for lam in lam_values]
     reports.append(algebra.check_sqrt2_inequality(samples, seed, threads=threads))
     reports += [
         algebra.check_lambda_inequality(lam, samples, seed, threads=threads)
@@ -179,21 +180,14 @@ def cmd_diagnose(args) -> int:
     lam_bound = float(cfg.get("lam_bound", math.sqrt(2.0)))
     _log(out, f"diagnose model={model.label} seed={seed}")
     pts = _diagnose_points(cfg, model, seed)
-    diagnostics.write_diagnostics_csv(model, pts, out / "diagnostics.csv", step,
-                                      lam_bound)
+    rep = diagnostics.write_diagnostics_csv(model, pts, out / "diagnostics.csv",
+                                            step, lam_bound)
     margin_floor = cfg.get("assert_margin_sqrt2_min")
     gap_ceiling = cfg.get("assert_gap_max")
     summary = {"model": model.label, "points": len(pts), "step": step,
                "lam_bound": lam_bound, "seed": seed}
-    worst_gap = 0.0
-    worst_margin = math.inf
-    witness = None
-    for x in pts:
-        rep = diagnostics.logv_identity(model, x, step, lam_bound)
-        worst_gap = max(worst_gap, abs(rep.gap))
-        if rep.margin_sqrt2 < worst_margin:
-            worst_margin = rep.margin_sqrt2
-            witness = x
+    worst_gap = float(np.max(np.abs(rep.gap), initial=0.0))
+    worst_margin = float(np.min(rep.margin_sqrt2, initial=math.inf))
     summary["max_abs_gap"] = worst_gap
     summary["min_margin_sqrt2"] = worst_margin
     _write_json(out / "diagnose_summary.json", summary)
@@ -202,6 +196,7 @@ def cmd_diagnose(args) -> int:
         print(f"  FAIL gap {worst_gap:.3e} exceeds {gap_ceiling}")
         return EXIT_ASSERTION
     if margin_floor is not None and worst_margin < float(margin_floor):
+        witness = pts[np.argmin(rep.margin_sqrt2)]
         print(f"  FAIL margin {worst_margin:.3e} below {margin_floor} "
               f"at {witness.tolist()}")
         return EXIT_ASSERTION
@@ -303,7 +298,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfigError, models.DomainError, ValueError, OSError) as exc:
+    except (InvalidConfigError, models.DomainError, ValueError, TypeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

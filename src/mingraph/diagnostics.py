@@ -10,14 +10,13 @@ inspection.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs
-from mingraph.grassmann import two_dilation
-from mingraph.util import chunk_ranges, run_chunks
+from mingraph.grassmann import induced_metric, slope, two_dilation
+from mingraph.util import cell_midpoints, chunk_ranges
 
 _CHUNK = 50000
 
@@ -54,17 +53,26 @@ def _adapted_svd(J):
     return U, lam, lam_normal, np.swapaxes(Vt, -1, -2)
 
 
-def sff_components(jacobian, hessian) -> np.ndarray:
-    """Adapted-frame SFF components, shape (..., m, n, n); broadcasts."""
-    J = np.asarray(jacobian, dtype=float)
+def _unbatch(out):
+    """A float for an unbatched (0-d) result, else the array itself."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _sff(jacobian, hessian):
+    """Adapted-frame SFF components (..., m, n, n) and the padded spectrum (..., n)."""
+    U, lam, lam_normal, V = _adapted_svd(jacobian)
     H = np.asarray(hessian, dtype=float)
-    U, lam, lam_normal, V = _adapted_svd(J)
     h = np.einsum("...ag,...akl,...ki,...lj->...gij", U, H, V, V)
     wt = 1.0 / np.sqrt(1.0 + lam**2)
     wn = 1.0 / np.sqrt(1.0 + lam_normal**2)
     h = h * wn[..., :, None, None] * wt[..., None, :, None] * wt[..., None, None, :]
     # the contraction is symmetric in (i, j) up to rounding; make it exact
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
+    return 0.5 * (h + np.swapaxes(h, -1, -2)), lam
+
+
+def sff_components(jacobian, hessian) -> np.ndarray:
+    """Adapted-frame SFF components, shape (..., m, n, n); broadcasts."""
+    return _sff(jacobian, hessian)[0]
 
 
 def sff_at(model, x) -> SffTensor:
@@ -97,8 +105,7 @@ def sff_tensor(jacobian, hessian) -> SffTensor:
 def sff_norm2(jacobian, hessian) -> np.ndarray:
     """|B|^2 at one point or a batch, summed over all frame components."""
     h = sff_components(jacobian, hessian)
-    out = np.einsum("...gij,...gij->...", h, h)
-    return float(out) if out.ndim == 0 else out
+    return _unbatch(np.einsum("...gij,...gij->...", h, h))
 
 
 def tangent_projector(jacobian) -> np.ndarray:
@@ -107,7 +114,7 @@ def tangent_projector(jacobian) -> np.ndarray:
     m, n = J.shape[-2:]
     eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
     T = np.concatenate([eye, J], axis=-2)
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
+    g, _ = induced_metric(J)
     return np.einsum("...pi,...ij,...qj->...pq", T, np.linalg.inv(g), T)
 
 
@@ -120,8 +127,7 @@ def sff_norm2_projector(jacobian, hessian) -> float:
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
     m, n = J.shape
-    g = np.eye(n) + J.T @ J
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(induced_metric(J)[0])
     T = np.vstack([np.eye(n), J])
     Tg = T @ ginv
     dg = np.einsum("aki,aj->kij", H, J) + np.einsum("ai,akj->kij", J, H)
@@ -139,9 +145,7 @@ def grad_logv(jacobian, hessian) -> np.ndarray:
     """Euclidean gradient d_j log v = (1/2) tr(g^{-1} d_j g); broadcasts."""
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
-    n = J.shape[-1]
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(induced_metric(J)[0])
     # d_j g_{ik} = sum_a (H[a,j,i] J[a,k] + J[a,i] H[a,j,k])
     dgj = np.einsum("...aji,...ak->...jik", H, J) + np.einsum(
         "...ai,...ajk->...jik", J, H
@@ -158,15 +162,16 @@ def _pad_normals(h, n):
     return np.concatenate([h, pad], axis=-3)
 
 
-def grad_logv_tangential_norm2(jacobian, hessian) -> np.ndarray:
-    """|grad_M log v|^2 = sum_j (sum_i lam_i h_{i,ij})^2 in the adapted frame."""
-    h = sff_components(jacobian, hessian)
-    _, lam, _, _ = _adapted_svd(np.asarray(jacobian, dtype=float))
+def _tangential_grad2(h, lam):
     n = lam.shape[-1]
     hiij = np.einsum("...iij->...ij", _pad_normals(h, n)[..., :n, :, :])
     grad = np.einsum("...i,...ij->...j", lam, hiij)
-    out = np.einsum("...j,...j->...", grad, grad)
-    return float(out) if out.ndim == 0 else out
+    return np.einsum("...j,...j->...", grad, grad)
+
+
+def grad_logv_tangential_norm2(jacobian, hessian) -> np.ndarray:
+    """|grad_M log v|^2 = sum_j (sum_i lam_i h_{i,ij})^2 in the adapted frame."""
+    return _unbatch(_tangential_grad2(*_sff(jacobian, hessian)))
 
 
 def intrinsic_laplacian_fd(model, grad_fn, x, step: float) -> np.ndarray:
@@ -180,10 +185,8 @@ def intrinsic_laplacian_fd(model, grad_fn, x, step: float) -> np.ndarray:
     n = model.n
 
     def flux(pts):
-        J = model.jacobian(pts)
-        g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-        v = np.sqrt(np.linalg.det(g))
-        return v[..., None] * np.einsum(
+        g, log_v = induced_metric(model.jacobian(pts))
+        return np.exp(log_v)[..., None] * np.einsum(
             "...ij,...j->...i", np.linalg.inv(g), grad_fn(pts)
         )
 
@@ -192,9 +195,7 @@ def intrinsic_laplacian_fd(model, grad_fn, x, step: float) -> np.ndarray:
         e = np.zeros(n)
         e[i] = step
         out += (flux(x + e)[..., i] - flux(x - e)[..., i]) / (2.0 * step)
-    J = model.jacobian(x)
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    return out / np.sqrt(np.linalg.det(g))
+    return out / np.exp(induced_metric(model.jacobian(x))[1])
 
 
 def laplace_logv_fd(model, x, step: float) -> np.ndarray:
@@ -209,8 +210,7 @@ def laplace_inv_slope_fd(model, x, step: float) -> np.ndarray:
 
     def grad(p):
         J = model.jacobian(p)
-        g = np.eye(model.n) + np.einsum("...ai,...aj->...ij", J, J)
-        v = np.sqrt(np.linalg.det(g))
+        v = np.exp(induced_metric(J)[1])
         return -grad_logv(J, model.hessian(p)) / v[..., None]
 
     return intrinsic_laplacian_fd(model, grad, x, step)
@@ -229,9 +229,7 @@ def laplace_inv_slope_formula(jacobian, hessian) -> np.ndarray:
         + sum_{l, i != j} lam_i lam_j h_{i,jl} h_{j,il}
         - sum_{l, i != j} lam_i lam_j h_{i,il} h_{j,jl}).
     """
-    J = np.asarray(jacobian, dtype=float)
-    h = sff_components(J, hessian)
-    _, lam, _, _ = _adapted_svd(J)
+    h, lam = _sff(jacobian, hessian)
     n = lam.shape[-1]
     v = np.exp(0.5 * np.sum(np.log1p(lam**2), axis=-1))
     hn = _pad_normals(h, n)[..., :n, :, :]
@@ -246,12 +244,16 @@ def laplace_inv_slope_formula(jacobian, hessian) -> np.ndarray:
         + np.einsum("...ij,...ij,ij->...", ll, cross, off)
         - np.einsum("...ij,ij->...", square, off)
     ) / v
-    return float(out) if out.ndim == 0 else out
+    return _unbatch(out)
 
 
 @dataclass(frozen=True)
 class LogVReport:
-    """Pointwise comparison of Delta_M log v with its curvature expression."""
+    """Pointwise comparison of Delta_M log v with its curvature expression.
+
+    The value fields are floats for one point and arrays for a batch;
+    ``spectrum`` holds the padded singular values, (n,) or (k, n).
+    """
 
     point: np.ndarray
     step: float
@@ -261,6 +263,7 @@ class LogVReport:
     margin_sqrt2: float
     margin_lambda: float
     lam_bound: float
+    spectrum: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -270,32 +273,29 @@ class LogVReport:
 def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport:
     """Evaluate both sides of the Delta_M log v identity for a minimal model.
 
-    ``lhs`` is the finite-difference intrinsic Laplacian, ``rhs`` the
-    algebraic curvature expression.  ``margin_sqrt2`` is rhs - |B|^2 and
-    ``margin_lambda`` is rhs minus the two-dilation lower bound at
-    ``lam_bound``.
+    ``x`` is one point (n,) or a batch of points (k, n).  ``lhs`` is the
+    finite-difference intrinsic Laplacian, ``rhs`` the algebraic curvature
+    expression.  ``margin_sqrt2`` is rhs - |B|^2 and ``margin_lambda`` is
+    rhs minus the two-dilation lower bound at ``lam_bound``.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point")
+    if x.ndim not in (1, 2):
+        raise ValueError("expected a point (n,) or a batch of points (k, n)")
     model.check_domain(x)
-    J = model.jacobian(x)
-    H = model.hessian(x)
-    h = sff_components(J, H)
-    _, lam, _, _ = _adapted_svd(J)
-    rhs = float(delta_logv_rhs(lam, h))
-    b2 = float(np.sum(h**2))
-    grad2 = grad_logv_tangential_norm2(J, H)
-    bound = (1.0 - lam_bound / SQRT2) * b2 + grad2 / model.n
+    h, lam = _sff(model.jacobian(x), model.hessian(x))
+    rhs = delta_logv_rhs(lam, h)
+    b2 = np.sum(h**2, axis=(-3, -2, -1))
+    bound = (1.0 - lam_bound / SQRT2) * b2 + _tangential_grad2(h, lam) / model.n
     return LogVReport(
         point=x,
         step=step,
-        lhs=float(laplace_logv_fd(model, x, step)),
-        rhs=rhs,
-        b_norm2=b2,
-        margin_sqrt2=rhs - b2,
-        margin_lambda=rhs - bound,
+        lhs=_unbatch(laplace_logv_fd(model, x, step)),
+        rhs=_unbatch(rhs),
+        b_norm2=_unbatch(b2),
+        margin_sqrt2=_unbatch(rhs - b2),
+        margin_lambda=_unbatch(rhs - bound),
         lam_bound=lam_bound,
+        spectrum=lam,
     )
 
 
@@ -308,12 +308,9 @@ def curvature_integral(
     cutoff excising a fixed fraction of the radius around possible cone
     vertices.
     """
-    n = model.n
     if radius <= 0:
         raise ValueError("radius must be positive")
-    h = 2.0 * radius / nodes_per_axis
-    axis = -radius + h * (np.arange(nodes_per_axis) + 0.5)
-    pts = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    h, pts = cell_midpoints(np.zeros(model.n), radius, nodes_per_axis)
     r = np.linalg.norm(pts, axis=1)
     pts = pts[(r <= radius) & (r >= vertex_cutoff_frac * radius)]
     total = 0.0
@@ -321,9 +318,8 @@ def curvature_integral(
         chunk = pts[lo:hi]
         J = model.jacobian(chunk)
         b2 = sff_norm2(J, model.hessian(chunk))
-        g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-        total += float(np.sum(b2 * np.sqrt(np.linalg.det(g))))
-    return total * h**n
+        total += float(np.sum(b2 * np.exp(induced_metric(J)[1])))
+    return total * h**model.n
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):
@@ -337,26 +333,23 @@ def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):
 
 
 def write_diagnostics_csv(model, points, path, step: float = 1e-3,
-                          lam_bound: float = SQRT2) -> None:
-    """Dump per-point diagnostics as CSV.
+                          lam_bound: float = SQRT2) -> LogVReport:
+    """Dump per-point diagnostics of a batch (k, n) as CSV; return its report.
 
     Columns: the base coordinates, slope v, 2-dilation, |B|^2, the two sides
     of the Delta_M log v identity, their gap, and the two-dilation margin.
     """
     points = np.asarray(points, dtype=float)
-    n = model.n
+    rep = logv_identity(model, points, step, lam_bound)
+    columns = zip(points, rep.spectrum, rep.b_norm2, rep.lhs, rep.rhs, rep.gap,
+                  rep.margin_lambda)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [f"x{i}" for i in range(n)]
+            [f"x{i}" for i in range(model.n)]
             + ["v", "dilation", "B2", "lhs", "rhs", "gap", "margin_lambda"]
         )
-        for x in points:
-            rep = logv_identity(model, x, step, lam_bound)
-            J = model.jacobian(x)
-            lam = np.linalg.svd(J, compute_uv=False)
-            v = math.prod(math.sqrt(1.0 + s**2) for s in lam)
-            dil = two_dilation(np.concatenate([lam, np.zeros(n - lam.size)]))
-            row = list(x) + [v, dil, rep.b_norm2, rep.lhs, rep.rhs, rep.gap,
-                             rep.margin_lambda]
+        for x, lam, *rest in columns:
+            row = list(x) + [slope(lam), two_dilation(lam)] + rest
             writer.writerow([repr(float(c)) for c in row])
+    return rep

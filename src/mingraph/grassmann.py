@@ -53,6 +53,18 @@ def slope(spectrum) -> float:
     return float(np.exp(0.5 * np.sum(logs)))
 
 
+def induced_metric(jacobian):
+    """Induced metric g = I + Du^T Du and log v = (1/2) log det g; batched.
+
+    ``jacobian`` has shape (..., m, n); returns g (..., n, n) and log v (...).
+    log v comes from ``slogdet``, so exp(log v) stays finite where det g
+    overflows.  Callers that need g^{-1} invert g themselves.
+    """
+    J = np.asarray(jacobian, dtype=float)
+    g = np.eye(J.shape[-1]) + np.einsum("...ai,...aj->...ij", J, J)
+    return g, 0.5 * np.linalg.slogdet(g)[1]
+
+
 def two_dilation(spectrum) -> float:
     """2-dilation max_{i != j} lambda_i lambda_j = lambda_1 lambda_2.
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mingraph.grassmann import induced_metric
 from mingraph.models import AnalyticModel
-from mingraph.util import chunk_ranges, run_chunks, unit_ball_volume
+from mingraph.util import (cell_midpoints, chunk_ranges, grid_points, run_chunks,
+                           unit_ball_volume)
 
 VERTEX_CUTOFF_FRAC = 1e-3
 _CHUNK = 200000
@@ -65,13 +67,8 @@ class DensityProfile:
 
 def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
     """Midpoint-rule integral of v over the masked base grid."""
-    n = model.n
-    c_base = center[:n]
-    h = 2.0 * radius / nodes
-    axis = -radius + h * (np.arange(nodes) + 0.5)
-    pts = np.stack(
-        np.meshgrid(*[c_base[k] + axis for k in range(n)], indexing="ij"), axis=-1
-    ).reshape(-1, n)
+    c_base = center[: model.n]
+    h, pts = cell_midpoints(c_base, radius, nodes)
 
     def piece(rng):
         lo, hi = rng
@@ -86,16 +83,15 @@ def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
         chunk = chunk[np.linalg.norm(amb - center, axis=-1) <= radius]
         if chunk.size == 0:
             return 0.0
-        J = model.jacobian(chunk)
-        g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-        return float(np.sum(np.sqrt(np.linalg.det(g))))
+        _, log_v = induced_metric(model.jacobian(chunk))
+        return float(np.sum(np.exp(log_v)))
 
     parts = run_chunks(piece, chunk_ranges(pts.shape[0], _CHUNK), threads)
     # pairwise reduction keeps the sum independent of chunk sizes' grouping
     vals = list(parts)
     while len(vals) > 1:
         vals = [sum(vals[i : i + 2]) for i in range(0, len(vals), 2)]
-    return (vals[0] if vals else 0.0) * h**n
+    return (vals[0] if vals else 0.0) * h**model.n
 
 
 def graph_volume(
@@ -131,9 +127,8 @@ def graph_volume(
         ring = center[:n] + 2.0 * cutoff * _unit_ring(n)
         ok = np.asarray(model.in_domain(ring))
         if np.any(ok):
-            J = model.jacobian(ring[ok])
-            g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-            vmax = float(np.max(np.sqrt(np.linalg.det(g))))
+            _, log_v = induced_metric(model.jacobian(ring[ok]))
+            vmax = float(np.exp(np.max(log_v)))
             err += vmax * unit_ball_volume(n) * cutoff**n
     return VolumeReport(
         region=f"ball(r={radius!r})", value=fine, resolution=resolution, est_error=err
@@ -214,8 +209,7 @@ def volume_growth_bound_check(
         raise ValueError("need positive radii")
     n = model.n
     rmax = float(radii[-1])
-    axis = np.linspace(-rmax, rmax, 17)
-    pts = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    pts = grid_points([np.linspace(-rmax, rmax, 17)] * n)
     pts = pts[np.asarray(model.in_domain(pts))]
     J = model.jacobian(pts)
     s = np.linalg.svd(J, compute_uv=False)
@@ -264,10 +258,6 @@ def max_slope_on_box(model: AnalyticModel, half_width: float, nodes: int = 33) -
     A divergent value along a sequence of blow-downs is the quasi-cylindrical
     indicator: the rescaled graphs become vertical somewhere.
     """
-    n = model.n
-    axis = np.linspace(-half_width, half_width, nodes)
-    pts = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    pts = pts[np.asarray(model.in_domain(pts))]
-    J = model.jacobian(pts)
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    return float(np.max(np.sqrt(np.linalg.det(g))))
+    pts = grid_points([np.linspace(-half_width, half_width, nodes)] * model.n)
+    _, log_v = induced_metric(model.jacobian(pts[np.asarray(model.in_domain(pts))]))
+    return float(np.exp(np.max(log_v)))

@@ -10,7 +10,6 @@ as independent residual diagnostics.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,11 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mingraph.grassmann import induced_metric
+from mingraph.util import grid_points
+
 DEFAULT_TOL = 1e-10
-
-
-class StencilError(ValueError):
-    """A finite-difference stencil would reach outside the grid."""
 
 
 @dataclass
@@ -73,7 +71,7 @@ class GraphPatch:
         """Physical coordinates of all nodes, shape dims + (n,)."""
         axes = [self.origin[k] + self.spacing * np.arange(self.dims[k])
                 for k in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return grid_points(axes).reshape(self.dims + (self.n,))
 
     @classmethod
     def from_model(cls, model, origin, dims, spacing) -> "GraphPatch":
@@ -110,8 +108,11 @@ def save_patch(patch: GraphPatch, manifest_path) -> None:
 def load_patch(manifest_path) -> GraphPatch:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "MGP1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "MGP1":
         raise ValueError("not an MGP1 manifest")
+    for key in ("n", "m", "dims", "spacing", "origin", "data"):
+        if key not in manifest:
+            raise ValueError(f"MGP1 manifest lacks the key '{key}'")
     dims = tuple(manifest["dims"])
     m = manifest["m"]
     raw = (manifest_path.parent / manifest["data"]).read_bytes()
@@ -121,29 +122,33 @@ def load_patch(manifest_path) -> GraphPatch:
     )
 
 
-@dataclass
-class MetricSample:
-    """Induced metric g = I + Du^T Du, its inverse, and the slope v."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    v: float
-
-
-def metric_at(jacobian) -> MetricSample:
-    J = np.asarray(jacobian, dtype=float)
-    g = np.eye(J.shape[1]) + J.T @ J
-    return MetricSample(g=g, g_inv=np.linalg.inv(g), v=float(np.sqrt(np.linalg.det(g))))
-
-
 def residual_strong(jacobian, hessian) -> np.ndarray:
     """Strong residual sum_{ij} g^{ij} H[alpha, i, j]; broadcasts over batches."""
-    J = np.asarray(jacobian, dtype=float)
-    H = np.asarray(hessian, dtype=float)
-    n = J.shape[-1]
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    ginv = np.linalg.inv(g)
-    return np.einsum("...ij,...aij->...a", ginv, H)
+    ginv = np.linalg.inv(induced_metric(jacobian)[0])
+    return np.einsum("...ij,...aij->...a", ginv, np.asarray(hessian, dtype=float))
+
+
+def _shift(arr, offset):
+    """The window arr[1 + o_k : -1 + o_k] on each leading grid axis k.
+
+    On an array over all nodes this picks the neighbour at ``offset`` of
+    every interior node (1:-1); on an array over the interior nodes, that
+    of every deep-interior node (2:-2).
+    """
+    return arr[tuple(slice(1 + o, (o - 1) or None) for o in offset)]
+
+
+def _node_ids(dims) -> np.ndarray:
+    """Interior node ids 0..N-1 in C order, -1 on the boundary layer.
+
+    ``_shift(ids, offset).ravel()[i]`` is the id of the neighbour of
+    interior node i at ``offset``, or -1 where that neighbour is boundary.
+    """
+    ids = np.full(dims, -1, dtype=np.int64)
+    inner_dims = tuple(d - 2 for d in dims)
+    ids[tuple(slice(1, -1) for _ in dims)] = np.arange(
+        int(np.prod(inner_dims))).reshape(inner_dims)
+    return ids
 
 
 def _interior_derivatives(patch: GraphPatch):
@@ -151,32 +156,19 @@ def _interior_derivatives(patch: GraphPatch):
     U = patch.values
     h = patch.spacing
     n = patch.n
-    inner = tuple(slice(1, -1) for _ in range(n))
-
-    def shift(offset):
-        # slice(1+o, -1+o) with the convention that a stop of 0 means None
-        sl = []
-        for o in offset:
-            stop = -1 + o
-            sl.append(slice(1 + o, None if stop == 0 else stop))
-        return U[tuple(sl)]
-
-    center = U[inner]
+    unit = np.eye(n, dtype=int)
+    center = _shift(U, [0] * n)
     Du = np.empty(center.shape[:-1] + (patch.m, n))
     H = np.empty(center.shape[:-1] + (patch.m, n, n))
     for k in range(n):
-        ek = [0] * n
-        ek[k] = 1
-        up, dn = shift(ek), shift([-o for o in ek])
+        ek = unit[k]
+        up, dn = _shift(U, ek), _shift(U, -ek)
         Du[..., :, k] = (up - dn) / (2 * h)
         H[..., :, k, k] = (up - 2 * center + dn) / h**2
         for l in range(k + 1, n):
-            el = [0] * n
-            el[l] = 1
-            pp = shift([a + b for a, b in zip(ek, el)])
-            pm = shift([a - b for a, b in zip(ek, el)])
-            mp = shift([-a + b for a, b in zip(ek, el)])
-            mm = shift([-a - b for a, b in zip(ek, el)])
+            el = unit[l]
+            pp, pm = _shift(U, ek + el), _shift(U, ek - el)
+            mp, mm = _shift(U, el - ek), _shift(U, -ek - el)
             mixed = (pp - pm - mp + mm) / (4 * h**2)
             H[..., :, k, l] = mixed
             H[..., :, l, k] = mixed
@@ -192,60 +184,26 @@ def strong_residual_field(patch: GraphPatch) -> np.ndarray:
 def _flux_field(patch: GraphPatch):
     """F[..., alpha, i] = v g^{ij} d_j u^alpha at interior nodes, plus v."""
     Du, _ = _interior_derivatives(patch)
-    n = patch.n
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", Du, Du)
-    ginv = np.linalg.inv(g)
-    v = np.sqrt(np.linalg.det(g))
-    F = v[..., None, None] * np.einsum("...ij,...aj->...ai", ginv, Du)
+    g, log_v = induced_metric(Du)
+    v = np.exp(log_v)
+    F = v[..., None, None] * np.einsum("...ij,...aj->...ai", np.linalg.inv(g), Du)
     return F, v
 
 
-def residual_divergence(patch: GraphPatch, node) -> np.ndarray:
-    """Divergence-form residual (1/v) sum_i d_i (v g^{ij} d_j u^alpha) at a node.
-
-    Second-order central differences; the node must be at least two layers
-    away from the boundary.
-    """
-    node = tuple(int(i) for i in node)
-    if len(node) != patch.n:
-        raise ValueError("node index arity mismatch")
-    for k, i in enumerate(node):
-        if i < 2 or i > patch.dims[k] - 3:
-            raise StencilError(f"node {node} too close to the boundary")
-    F, v = _flux_field(patch)  # indexed by interior nodes (offset by 1)
-    c = tuple(i - 1 for i in node)
-    out = np.zeros(patch.m)
-    for k in range(patch.n):
-        up = list(c)
-        dn = list(c)
-        up[k] += 1
-        dn[k] -= 1
-        out += (F[tuple(up)][:, k] - F[tuple(dn)][:, k]) / (2 * patch.spacing)
-    return out / v[c]
-
-
 def divergence_residual_field(patch: GraphPatch) -> np.ndarray:
-    """Divergence-form residual on the deep interior (2:-2), vectorized."""
+    """Divergence-form residual (1/v) sum_i d_i (v g^{ij} d_j u^alpha).
+
+    Second-order central differences on the deep interior (2:-2), where the
+    stencil of every node stays inside the interior flux field.
+    """
     F, v = _flux_field(patch)
     n = patch.n
-    deep = tuple(slice(1, -1) for _ in range(n))
-
-    def shift(arr, k, o):
-        sl = []
-        for ax in range(n):
-            if ax == k:
-                stop = -1 + o
-                sl.append(slice(1 + o, None if stop == 0 else stop))
-            else:
-                sl.append(slice(1, -1))
-        return arr[tuple(sl)]
-
-    out = np.zeros(F[deep].shape[:-1])
-    for k in range(n):
-        out += (shift(F, k, 1)[..., k] - shift(F, k, -1)[..., k]) / (
+    out = 0.0
+    for k, ek in enumerate(np.eye(n, dtype=int)):
+        out = out + (_shift(F, ek)[..., k] - _shift(F, -ek)[..., k]) / (
             2 * patch.spacing
         )
-    return out / v[deep][..., None]
+    return out / _shift(v, [0] * n)[..., None]
 
 
 def weak_harmonicity_defect(patch: GraphPatch, alpha: int) -> float:
@@ -255,48 +213,36 @@ def weak_harmonicity_defect(patch: GraphPatch, alpha: int) -> float:
     d_j phi_p by the midpoint rule per cell (multilinear interpolant
     gradients at cell centers), normalized by the total integral of v.
     """
-    U = patch.values[..., alpha]
     n = patch.n
     h = patch.spacing
     corners = [tuple(int(b) for b in np.binary_repr(c, n)) for c in range(2**n)]
+    signs = [[1.0 if ck else -1.0 for ck in c] for c in corners]
 
-    # cell-center gradient of the multilinear interpolant of a nodal field
-    def cell_gradient(W):
-        grads = []
-        for k in range(n):
-            g = np.zeros(tuple(d - 1 for d in patch.dims) + W.shape[n:])
-            for c in corners:
-                sl = tuple(
-                    slice(ci, (patch.dims[ax] - 1) + ci) for ax, ci in enumerate(c)
-                )
-                sign = 1.0 if c[k] == 1 else -1.0
-                g += sign * W[sl] / (2 ** (n - 1) * h)
-            grads.append(g)
-        return np.stack(grads, axis=-1)
+    def corner(arr, c):
+        # node array: corner c of every cell; cell array: of every interior node
+        return arr[tuple(slice(1, None) if ck else slice(None, -1) for ck in c)]
 
-    DU = cell_gradient(patch.values)  # (cells..., m, n)
-    g = np.eye(n) + np.einsum("...ak,...al->...kl", DU, DU)
-    ginv = np.linalg.inv(g)
-    v = np.sqrt(np.linalg.det(g))
-    flux = np.einsum("...,...ij,...j->...i", v, ginv, DU[..., alpha, :])
+    # cell-center gradient of the multilinear interpolant of the nodal values
+    DU = np.stack([
+        sum(sg[k] * corner(patch.values, c) / (2 ** (n - 1) * h)
+            for c, sg in zip(corners, signs))
+        for k in range(n)
+    ], axis=-1)  # (cells..., m, n)
+    g, log_v = induced_metric(DU)
+    v = np.exp(log_v)
+    flux = np.einsum("...,...ij,...j->...i", v, np.linalg.inv(g), DU[..., alpha, :])
     total_v = float(np.sum(v)) * h**n
 
     # hat at node p: nonzero on the 2^n adjacent cells; its multilinear
     # gradient at each adjacent cell center has magnitude 1/(2h) * 2^{1-n}
-    # per axis with sign toward p
-    defect = 0.0
-    interior = [range(1, d - 1) for d in patch.dims]
+    # per axis, pointing toward p
     grad_mag = 1.0 / (2 ** (n - 1) * h)
-    for p in itertools.product(*interior):
-        s = 0.0
-        for c in corners:
-            cell = tuple(pi - 1 + ci for pi, ci in zip(p, c))
-            fc = flux[cell]
-            for k in range(n):
-                sign = -1.0 if c[k] == 1 else 1.0  # hat decreases away from p
-                s += fc[k] * (-sign) * grad_mag
-        defect = max(defect, abs(s * h**n))
-    return defect / total_v
+    s = 0.0
+    for c, sg in zip(corners, signs):
+        fc = corner(flux, c)
+        for k in range(n):
+            s = s + fc[..., k] * sg[k] * grad_mag
+    return float(np.max(np.abs(s * h**n))) / total_v
 
 
 @dataclass
@@ -315,39 +261,23 @@ class SolveReport:
         }
 
 
-def _interior_index(dims):
-    inner_dims = tuple(d - 2 for d in dims)
-    idx = -np.ones(dims, dtype=np.int64)
-    inner = tuple(slice(1, -1) for _ in dims)
-    idx[inner] = np.arange(int(np.prod(inner_dims))).reshape(inner_dims)
-    return idx, inner_dims
-
-
 def _assemble(patch: GraphPatch, include_gradient_terms: bool):
     """Sparse Jacobian of the interior strong residual w.r.t. interior values."""
     n, m, h = patch.n, patch.m, patch.spacing
-    dims = patch.dims
-    idx, inner_dims = _interior_index(dims)
-    n_nodes = int(np.prod(inner_dims))
+    ids = _node_ids(patch.dims)
     Du, H = _interior_derivatives(patch)
-    g = np.eye(n) + np.einsum("...ai,...aj->...ij", Du, Du)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(induced_metric(Du)[0])
+    n_nodes = int(np.prod(Du.shape[:-2]))
+    unit = np.eye(n, dtype=int)
 
     rows, cols, vals = [], [], []
-    inner_grid = np.stack(
-        np.meshgrid(*[np.arange(1, d - 1) for d in dims], indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    node_id = idx[tuple(inner_grid.T)]  # 0..n_nodes-1 in C order
 
     def add(offset, coeff_flat, alpha, beta):
         """coeff_flat: per-interior-node coefficient for unknown (node+offset, beta)."""
-        nb = inner_grid + np.asarray(offset)
-        ok = np.all((nb >= 1) & (nb < np.asarray(dims) - 1), axis=1)
-        if not np.any(ok):
-            return
-        nb_id = idx[tuple(nb[ok].T)]
-        rows.append(node_id[ok] * m + alpha)
-        cols.append(nb_id * m + beta)
+        nb = _shift(ids, offset).ravel()
+        ok = nb >= 0
+        rows.append(np.flatnonzero(ok) * m + alpha)
+        cols.append(nb[ok] * m + beta)
         vals.append(coeff_flat[ok])
 
     # principal part: sum_{kl} g^{kl} D2_{kl}
@@ -355,15 +285,13 @@ def _assemble(patch: GraphPatch, include_gradient_terms: bool):
         center = np.zeros(n_nodes)
         for k in range(n):
             gkk = ginv[..., k, k].reshape(-1)
-            ek = np.zeros(n, dtype=int)
-            ek[k] = 1
+            ek = unit[k]
             add(ek, gkk / h**2, alpha, alpha)
             add(-ek, gkk / h**2, alpha, alpha)
             center -= 2.0 * gkk / h**2
             for l in range(k + 1, n):
                 gkl = ginv[..., k, l].reshape(-1)
-                el = np.zeros(n, dtype=int)
-                el[l] = 1
+                el = unit[l]
                 for sk in (1, -1):
                     for sl_ in (1, -1):
                         add(
@@ -372,7 +300,7 @@ def _assemble(patch: GraphPatch, include_gradient_terms: bool):
                             alpha,
                             alpha,
                         )
-        add(np.zeros(n, dtype=int), center, alpha, alpha)
+        add([0] * n, center, alpha, alpha)
 
     if include_gradient_terms:
         # coefficient of d(Du^beta_r): -2 (g^{-1} H^alpha g^{-1} Du^beta)_r
@@ -382,11 +310,9 @@ def _assemble(patch: GraphPatch, include_gradient_terms: bool):
         for alpha in range(m):
             for beta in range(m):
                 for r in range(n):
-                    er = np.zeros(n, dtype=int)
-                    er[r] = 1
                     c = coeff[:, alpha, beta, r]
-                    add(er, c / (2 * h), alpha, beta)
-                    add(-er, -c / (2 * h), alpha, beta)
+                    add(unit[r], c / (2 * h), alpha, beta)
+                    add(-unit[r], -c / (2 * h), alpha, beta)
 
     J = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -401,43 +327,27 @@ def harmonic_initial_guess(patch: GraphPatch) -> None:
     Exact for affine boundary data, like the multilinear interpolant, and
     available in one deterministic sparse solve for any n.
     """
-    flat = model_free_laplace_solve(patch)
-    inner = tuple(slice(1, -1) for _ in range(patch.n))
-    patch.values[inner] = flat
-
-
-def model_free_laplace_solve(patch: GraphPatch) -> np.ndarray:
-    n, m, h = patch.n, patch.m, patch.spacing
-    dims = patch.dims
-    idx, inner_dims = _interior_index(dims)
-    n_nodes = int(np.prod(inner_dims))
-    inner_grid = np.stack(
-        np.meshgrid(*[np.arange(1, d - 1) for d in dims], indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    node_id = idx[tuple(inner_grid.T)]
-    rows, cols, vals = [], [], []
+    n, m = patch.n, patch.m
+    ids = _node_ids(patch.dims)
+    inner = _shift(patch.values, [0] * n)  # a view: written in place below
+    n_nodes = int(np.prod(inner.shape[:-1]))
+    nodes = np.arange(n_nodes)
+    rows, cols, vals = [nodes], [nodes], [np.full(n_nodes, -2.0 * n)]
     rhs = np.zeros((n_nodes, m))
-    rows.append(node_id)
-    cols.append(node_id)
-    vals.append(np.full(n_nodes, -2.0 * n))
-    for k in range(n):
-        for s in (1, -1):
-            nb = inner_grid.copy()
-            nb[:, k] += s
-            interior_nb = np.all((nb >= 1) & (nb < np.asarray(dims) - 1), axis=1)
-            nb_id = idx[tuple(nb[interior_nb].T)]
-            rows.append(node_id[interior_nb])
-            cols.append(nb_id)
-            vals.append(np.ones(nb_id.size))
-            bd = ~interior_nb
-            if np.any(bd):
-                rhs[node_id[bd]] -= patch.values[tuple(nb[bd].T)]
+    for ek in np.eye(n, dtype=int):
+        for offset in (ek, -ek):
+            nb = _shift(ids, offset).ravel()
+            ok = nb >= 0
+            rows.append(np.flatnonzero(ok))
+            cols.append(nb[ok])
+            vals.append(np.ones(cols[-1].size))
+            # boundary neighbours are known values: move them to the right side
+            rhs[~ok] -= _shift(patch.values, offset).reshape(n_nodes, m)[~ok]
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes),
     ).tocsc()
-    sol = spla.spsolve(A, rhs)
-    return sol.reshape(inner_dims + (m,))
+    inner[...] = spla.spsolve(A, rhs).reshape(inner.shape)
 
 
 def solve(

@@ -1,9 +1,11 @@
-"""Small shared helpers: deterministic chunked execution and ball volumes."""
+"""Small shared helpers: grid points, deterministic chunks and ball volumes."""
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 
 def unit_ball_volume(n: int) -> float:
@@ -38,3 +40,15 @@ def run_chunks(fn, chunks, threads: int = 1) -> list:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, chunks))
+
+
+def grid_points(axes) -> np.ndarray:
+    """Points of the tensor grid of 1-D ``axes`` in C order, shape (N, len(axes))."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def cell_midpoints(center, radius: float, nodes: int):
+    """Cell width h and the midpoints of the nodes^n cells of center +- radius."""
+    h = 2.0 * radius / nodes
+    axis = -radius + h * (np.arange(nodes) + 0.5)
+    return h, grid_points([c + axis for c in center])

@@ -54,6 +54,22 @@ def test_malformed_config_is_invalid_input(tmp_path):
     assert run(["measure", "--config", unknown]) == cli.EXIT_INVALID
 
 
+def test_incomplete_patch_manifest_is_invalid_input(tmp_path, capsys):
+    (tmp_path / "p.json").write_text('{"format": "MGP1", "n": 2}')
+    cfg = write_cfg(tmp_path, "solve.json", {"patch": str(tmp_path / "p.json")})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'m'" in err and err.count("\n") == 1
+
+
+def test_wrongly_typed_config_value_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "m.json", {"model": "affine", "radii": [1, 2],
+                                          "resolution": [64]})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_algebra_ok_and_deterministic(tmp_path):
     cfg = write_cfg(
         tmp_path, "va.json", {"grid_step": 0.1, "samples": 5000, "seed": 1}
@@ -145,6 +161,14 @@ def test_diagnose_assertion_failure(tmp_path, capsys):
     code = run(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_ASSERTION
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_diagnose_without_points(tmp_path):
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp",
+                                             "points": {"count": 0}})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "diagnose_summary.json").read_text())["points"] == 0
 
 
 def test_measure_affine_ratio_one(tmp_path):

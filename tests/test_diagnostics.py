@@ -128,6 +128,27 @@ def test_logv_identity_zero_on_cone():
     assert abs(rep.rhs) < 1e-12
 
 
+@pytest.mark.parametrize("model", [model_lawson_osserman(), model_slag_exp()],
+                         ids=["cone", "slag-exp"])
+def test_logv_identity_batch_matches_single_points(model):
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.3, 1.5, (20, model.n))
+    batch = dg.logv_identity(model, x, 1e-3)
+    for k in range(20):
+        one = dg.logv_identity(model, x[k], 1e-3)
+        for name in ("lhs", "rhs", "b_norm2", "margin_sqrt2", "margin_lambda"):
+            assert isinstance(getattr(one, name), float)
+            assert abs(getattr(batch, name)[k] - getattr(one, name)) < 1e-12
+        assert np.array_equal(batch.spectrum[k], one.spectrum)
+
+
+def test_steep_plane_curvature_is_zero():
+    # det g overflows on this plane; the exact values are 0
+    model = model_affine(1e100 * np.eye(2))
+    assert dg.curvature_integral(model, 1.0, 8) == 0.0
+    assert dg.laplace_logv_fd(model, np.array([0.3, 0.2]), 1e-3) == 0.0
+
+
 def test_laplace_inv_slope_formula_vs_fd():
     for model, x in [
         (model_slag_exp(), np.array([0.2, 0.5])),

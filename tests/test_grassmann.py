@@ -1,10 +1,16 @@
 """Unit tests for plane invariants: spectra, slope, dilation, angles."""
 
+import inspect
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mingraph
 from mingraph.grassmann import (
     DimensionMismatchError,
     InvalidInputError,
@@ -12,6 +18,7 @@ from mingraph.grassmann import (
     bernstein_condition,
     graph_plane_basis,
     grassmann_distance,
+    induced_metric,
     jordan_angles,
     plane_inner,
     singular_spectrum,
@@ -147,3 +154,41 @@ def test_plane_dimension_mismatch_raises():
     Q = PlaneBasis.coordinate(2, 5)
     with pytest.raises(DimensionMismatchError):
         plane_inner(P, Q)
+
+
+def test_induced_metric_consistency():
+    g, log_v = induced_metric(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    assert np.allclose(g, np.diag([2.0, 5.0]))
+    assert math.exp(log_v) == pytest.approx(math.sqrt(10.0))
+
+
+def test_induced_metric_exponential_origin():
+    slag = mingraph.model_slag_exp()
+    g, log_v = induced_metric(slag.jacobian(np.zeros(2)))
+    assert np.allclose(g, 2.0 * np.eye(2))
+    assert math.exp(log_v) == pytest.approx(2.0)
+
+
+def test_induced_metric_batched_matches_slope():
+    rng = np.random.default_rng(7)
+    J = rng.standard_normal((6, 3, 2))
+    g, log_v = induced_metric(J)
+    assert g.shape == (6, 2, 2) and log_v.shape == (6,)
+    for k in range(6):
+        assert np.array_equal(g[k], induced_metric(J[k])[0])
+        assert math.exp(log_v[k]) == pytest.approx(slope(singular_spectrum(J[k])),
+                                                   rel=1e-13)
+
+
+def test_induced_metric_has_one_home():
+    # g = I + Du^T Du and v = sqrt(det g) are formed only in induced_metric
+    own = inspect.getsource(induced_metric)
+    inline = re.compile(r"sqrt\(np\.linalg\.det|np\.eye\([^()]*\)\s*\+")
+    found = []
+    for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "grassmann.py":
+            assert own in text
+            text = text.replace(own, "")
+        found += [f"{path.name}: {m.group(0)}" for m in inline.finditer(text)]
+    assert found == []

@@ -154,3 +154,9 @@ def test_blow_down_exponential_slope_diverges():
     assert slopes[0] < slopes[1] < slopes[2]
     with pytest.raises(ValueError):
         measure.blow_down(model, 0.0)
+
+
+def test_max_slope_steep_plane_is_finite():
+    # det g = (1 + 1e200)^2 overflows; the slope 1 + 1e200 does not
+    model = model_affine(1e100 * np.eye(2))
+    assert measure.max_slope_on_box(model, 1.0, 5) == pytest.approx(1e200, rel=1e-12)

@@ -1,5 +1,6 @@
 """Unit tests for the grid patch solver, residuals, and MGP1 round trips."""
 
+import itertools
 import math
 
 import numpy as np
@@ -43,14 +44,9 @@ def test_mgp1_rejects_foreign_manifest(tmp_path):
     (tmp_path / "bad.json").write_text('{"format": "other"}')
     with pytest.raises(ValueError):
         solver.load_patch(tmp_path / "bad.json")
-
-
-def test_metric_at_consistency():
-    J = np.array([[1.0, 0.0], [0.0, 2.0]])
-    ms = solver.metric_at(J)
-    assert np.allclose(ms.g, np.diag([2.0, 5.0]))
-    assert np.allclose(ms.g @ ms.g_inv, np.eye(2))
-    assert ms.v == pytest.approx(math.sqrt(10.0))
+    (tmp_path / "short.json").write_text('{"format": "MGP1", "n": 2}')
+    with pytest.raises(ValueError, match="'m'"):
+        solver.load_patch(tmp_path / "short.json")
 
 
 def test_residual_strong_zero_on_minimal_models():
@@ -71,10 +67,11 @@ def test_interior_derivatives_match_model():
 
 
 def test_divergence_residual_needs_deep_interior():
+    # defined on nodes 2..6 of a 9 x 9 grid only, and zero for affine data
     patch = solver.GraphPatch.from_model(make_affine(), [0, 0], (9, 9), 0.1)
-    with pytest.raises(solver.StencilError):
-        solver.residual_divergence(patch, (1, 4))
-    assert np.max(np.abs(solver.residual_divergence(patch, (4, 4)))) < 1e-12
+    div = solver.divergence_residual_field(patch)
+    assert div.shape == (5, 5, 2)
+    assert np.max(np.abs(div)) < 1e-12
 
 
 def test_divergence_and_strong_residuals_converge_together():
@@ -155,11 +152,6 @@ def test_residual_strong_hand_value():
     assert solver.residual_strong(J, H)[0] == pytest.approx(0.4)
 
 
-def test_metric_at_exponential_origin():
-    slag = model_slag_exp()
-    assert solver.metric_at(slag.jacobian(np.zeros(2))).v == pytest.approx(2.0)
-
-
 def test_solve_target_rigid_motion_equivariance():
     slag = model_slag_exp()
     Q = np.array([[0.6, -0.8], [0.8, 0.6]])
@@ -215,3 +207,39 @@ def test_weak_defect_zero_for_affine():
     patch = solver.GraphPatch.from_model(make_affine(), [0, 0], (9, 9), 0.1)
     assert solver.weak_harmonicity_defect(patch, 0) < 1e-12
     assert solver.weak_harmonicity_defect(patch, 1) < 1e-12
+
+
+def weak_defect_node_loop(patch, alpha):
+    """Reference: the weak defect summed node by node, corner by corner."""
+    n, h = patch.n, patch.spacing
+    corners = list(itertools.product((0, 1), repeat=n))
+    DU = np.zeros(tuple(d - 1 for d in patch.dims) + (patch.m, n))
+    for cell in itertools.product(*[range(d - 1) for d in patch.dims]):
+        for c in corners:
+            node = tuple(i + ci for i, ci in zip(cell, c))
+            for k in range(n):
+                sign = 1.0 if c[k] else -1.0
+                DU[cell + (slice(None), k)] += (
+                    sign * patch.values[node] / (2 ** (n - 1) * h))
+    g = np.eye(n) + np.einsum("...ak,...al->...kl", DU, DU)
+    v = np.sqrt(np.linalg.det(g))
+    flux = np.einsum("...,...ij,...j->...i", v, np.linalg.inv(g), DU[..., alpha, :])
+    defect = 0.0
+    for p in itertools.product(*[range(1, d - 1) for d in patch.dims]):
+        s = 0.0
+        for c in corners:
+            fc = flux[tuple(pi - 1 + ci for pi, ci in zip(p, c))]
+            for k in range(n):
+                s += fc[k] * (1.0 if c[k] else -1.0) / (2 ** (n - 1) * h)
+        defect = max(defect, abs(s * h**n))
+    return defect / (float(np.sum(v)) * h**n)
+
+
+@pytest.mark.parametrize("dims", [(9, 7), (5, 6, 4)])
+def test_weak_harmonicity_defect_matches_node_loop(dims):
+    rng = np.random.default_rng(5)
+    patch = solver.GraphPatch(len(dims), 2, dims, 0.2, np.zeros(len(dims)),
+                              rng.standard_normal(dims + (2,)))
+    for alpha in (0, 1):
+        assert solver.weak_harmonicity_defect(patch, alpha) == pytest.approx(
+            weak_defect_node_loop(patch, alpha), rel=1e-12)
