@@ -4,7 +4,8 @@ Subcommands: ``invariants``, ``verify-algebra``, ``solve``, ``diagnose``,
 ``measure``, ``zoo list``.  Every run reads one JSON config (where needed),
 writes deterministic reports (JSON/CSV/XML/MGP1) into the output directory,
 and reserves timestamps for a separate ``run.log``.  Exit codes: 0 success,
-1 assertion failure, 2 solver non-convergence, 3 invalid input.
+1 assertion failure, 2 solver non-convergence, 3 invalid input (usage errors
+included).
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ EXIT_INVALID = 3
 
 class InvalidConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input, not with argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidConfigError(message)
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_config(args) -> dict:
@@ -262,7 +280,7 @@ def cmd_zoo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mingraph", description="Minimal-graph geometry experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -270,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         p.add_argument("--seed", type=int, default=None, help="seed override")
 
     p = sub.add_parser("invariants", help="run property suites")
@@ -278,14 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutate", choices=suites.MUTATIONS, default=None,
                    help="inject a deliberate defect (negative control)")
     p.set_defaults(fn=cmd_invariants)
-    for name, fn in [
-        ("verify-algebra", cmd_verify_algebra),
-        ("solve", cmd_solve),
-        ("diagnose", cmd_diagnose),
-        ("measure", cmd_measure),
+    for name, fn, threaded in [
+        ("verify-algebra", cmd_verify_algebra, True),
+        ("solve", cmd_solve, False),
+        ("diagnose", cmd_diagnose, False),
+        ("measure", cmd_measure, True),
     ]:
         p = sub.add_parser(name)
         common(p)
+        if threaded:
+            p.add_argument("--threads", type=_thread_count, default=1,
+                           help="worker cap")
         p.set_defaults(fn=fn)
     p = sub.add_parser("zoo", help="model registry")
     p.add_argument("zoo_action", choices=["list"])
@@ -295,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (InvalidConfigError, models.DomainError, ValueError, TypeError,
             OSError) as exc:

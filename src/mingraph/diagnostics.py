@@ -1,10 +1,10 @@
 """Curvature diagnostics for analytic graph models.
 
 Computes the second fundamental form of a graph in an adapted orthonormal
-frame from exact Jacobians and Hessians, the intrinsic Laplacians of log v
-and 1/v (exact interior derivatives, one outer central difference), and
-curvature integrals over balls.  Results can be dumped as CSV for offline
-inspection.
+frame from exact Jacobians and Hessians, its squared norm without a frame,
+the intrinsic Laplacians of log v and 1/v (exact interior derivatives, one
+outer central difference), and curvature integrals over balls.  Results can
+be dumped as CSV for offline inspection.
 """
 
 from __future__ import annotations
@@ -58,16 +58,25 @@ def _unbatch(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _sff(jacobian, hessian):
-    """Adapted-frame SFF components (..., m, n, n) and the padded spectrum (..., n)."""
-    U, lam, lam_normal, V = _adapted_svd(jacobian)
-    H = np.asarray(hessian, dtype=float)
-    h = np.einsum("...ag,...akl,...ki,...lj->...gij", U, H, V, V)
+def _contract(U, lam, lam_normal, V, H):
+    """Adapted-frame SFF components (..., m, n, n) from the SVD of J and H."""
+    H = np.asarray(H, dtype=float)
+    n = H.shape[-1]
+    # U^T H over the normal index, then V^T (.) V over the two tangent ones
+    h = np.swapaxes(U, -1, -2) @ H.reshape(H.shape[:-2] + (n * n,))
+    h = np.swapaxes(V, -1, -2)[..., None, :, :] @ h.reshape(h.shape[:-1] + (n, n))
+    h = h @ V[..., None, :, :]
     wt = 1.0 / np.sqrt(1.0 + lam**2)
     wn = 1.0 / np.sqrt(1.0 + lam_normal**2)
     h = h * wn[..., :, None, None] * wt[..., None, :, None] * wt[..., None, None, :]
     # the contraction is symmetric in (i, j) up to rounding; make it exact
-    return 0.5 * (h + np.swapaxes(h, -1, -2)), lam
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _sff(jacobian, hessian):
+    """Adapted-frame SFF components (..., m, n, n) and the padded spectrum (..., n)."""
+    U, lam, lam_normal, V = _adapted_svd(jacobian)
+    return _contract(U, lam, lam_normal, V, hessian), lam
 
 
 def sff_components(jacobian, hessian) -> np.ndarray:
@@ -84,7 +93,6 @@ def sff_at(model, x) -> SffTensor:
 def sff_tensor(jacobian, hessian) -> SffTensor:
     """Full SFF record from exact derivatives at a single point."""
     J = np.asarray(jacobian, dtype=float)
-    H = np.asarray(hessian, dtype=float)
     if J.ndim != 2:
         raise ValueError("expected a single Jacobian")
     m, n = J.shape
@@ -97,15 +105,32 @@ def sff_tensor(jacobian, hessian) -> SffTensor:
     Vpad[:, : min(m, n)] = V[:, : min(m, n)]
     tangent = np.concatenate([V * wt, (J @ V) * wt], axis=0).T
     normal = np.concatenate([-Vpad * (lam_normal * wn), U * wn], axis=0).T
-    return SffTensor(
-        h=sff_components(J, H), spectrum=lam.copy(), tangent=tangent, normal=normal
-    )
+    h = _contract(U, lam, lam_normal, V, hessian)
+    return SffTensor(h=h, spectrum=lam.copy(), tangent=tangent, normal=normal)
+
+
+def _sff_norm2(J, H, g):
+    """|B|^2 (...) from J (..., m, n), H (..., m, n, n) and g = I + J^T J."""
+    m, n = J.shape[-2:]
+    ginv = np.linalg.inv(g)[..., None, :, :]
+    # Gram matrix I + J J^T of the graph normals (-grad u^a, e_a)
+    gram = J @ np.swapaxes(J, -1, -2) + np.eye(m)
+    w = ginv @ H @ ginv  # g^{ik} H^a_{kl} g^{lj}
+    k = np.linalg.inv(gram) @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
+    return np.vecdot(w.reshape(w.shape[:-3] + (-1,)), k.reshape(k.shape[:-2] + (-1,)))
 
 
 def sff_norm2(jacobian, hessian) -> np.ndarray:
-    """|B|^2 at one point or a batch, summed over all frame components."""
-    h = sff_components(jacobian, hessian)
-    return _unbatch(np.einsum("...gij,...gij->...", h, h))
+    """|B|^2 at one point or a batch, without an adapted frame; broadcasts.
+
+    |B|^2 = sum g^{ik} g^{jl} H^a_{ij} N_{ab} H^b_{kl}, with g = I + J^T J the
+    induced metric and N = (I + J J^T)^{-1} the inverse Gram matrix of the
+    normals (-grad u^a, e_a).  It agrees with the sum of squared adapted-frame
+    components (``sff_components``) to about eps * lam_1^2 relative.
+    """
+    J = np.asarray(jacobian, dtype=float)
+    H = np.asarray(hessian, dtype=float)
+    return _unbatch(_sff_norm2(J, H, induced_metric(J)[0]))
 
 
 def tangent_projector(jacobian) -> np.ndarray:
@@ -317,8 +342,9 @@ def curvature_integral(
     for lo, hi in chunk_ranges(pts.shape[0], _CHUNK):
         chunk = pts[lo:hi]
         J = model.jacobian(chunk)
-        b2 = sff_norm2(J, model.hessian(chunk))
-        total += float(np.sum(b2 * np.exp(induced_metric(J)[1])))
+        g, log_v = induced_metric(J)
+        b2 = _sff_norm2(J, model.hessian(chunk), g)
+        total += float(np.sum(b2 * np.exp(log_v)))
     return total * h**model.n
 
 

@@ -153,25 +153,19 @@ def model_lawson_osserman() -> AnalyticModel:
         )
 
     def hessian(x):
+        # with e = x/|x| and c^a = e^T Q^a e:
+        # H^a = (S/|x|) [2 Q^a - 2 (Q^a e e^T + e e^T Q^a) - c^a (I - 3 e e^T)]
         x, r = _radius(x)
-        q = np.einsum("...i,aij,...j->...a", x, _LO_Q, x)
-        dq = 2.0 * np.einsum("aij,...j->...ai", _LO_Q, x)
-        r1 = r[..., None, None, None]
-        eye = np.eye(4)
-        term1 = 2.0 * _LO_Q / r1
-        term2 = (
-            dq[..., :, :, None] * x[..., None, None, :]
-            + dq[..., :, None, :] * x[..., None, :, None]
-        ) / r1**3
-        term3 = q[..., None, None] * eye / r1**3
-        term4 = (
-            3.0
-            * q[..., None, None]
-            * x[..., None, :, None]
-            * x[..., None, None, :]
-            / r1**5
-        )
-        return _LO_SCALE * (term1 - term2 - term3 + term4)
+        e = x / r[..., None]
+        qe = np.einsum("aij,...j->...ai", _LO_Q, e)
+        c = np.einsum("...ai,...i->...a", qe, e)
+        ee = e[..., :, None] * e[..., None, :]
+        qee = qe[..., :, :, None] * e[..., None, None, :]
+        # qee + qee^T is exactly symmetric: floating-point addition commutes
+        h = 2.0 * (_LO_Q - (qee + np.swapaxes(qee, -1, -2)))
+        h -= c[..., None, None] * (np.eye(4) - 3.0 * ee)[..., None, :, :]
+        h *= (_LO_SCALE / r)[..., None, None, None]
+        return h
 
     def in_domain(x):
         x = np.asarray(x, dtype=float)

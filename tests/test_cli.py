@@ -223,3 +223,33 @@ def test_timestamps_only_in_log(tmp_path):
     assert stamp.search((out / "run.log").read_text())
     for name in ("measure.csv", "measure_summary.json"):
         assert not stamp.search((out / name).read_text())
+
+
+def _error_line(capsys):
+    """The one line a usage error prints, on stderr."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+def test_usage_error_is_invalid_input(capsys):
+    assert run(["measure", "--threads", "x"]) == cli.EXIT_INVALID
+    assert "--threads" in _error_line(capsys)
+    assert run(["no-such-command"]) == cli.EXIT_INVALID
+    assert "no-such-command" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("sub", ["measure", "verify-algebra"])
+def test_threads_below_one_is_invalid_input(sub, capsys):
+    for threads in ("0", "-2"):
+        assert run([sub, "--threads", threads]) == cli.EXIT_INVALID
+        assert "--threads" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["diagnose"], ["invariants"],
+                                  ["zoo", "list"]])
+def test_threads_rejected_where_ignored(argv, tmp_path, capsys):
+    code = run(argv + ["--out", str(tmp_path), "--threads", "2"])
+    assert code == cli.EXIT_INVALID
+    assert "--threads" in _error_line(capsys)
+    assert not (tmp_path / "run.log").exists()

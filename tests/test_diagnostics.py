@@ -71,6 +71,27 @@ def test_sff_zero_for_affine():
     assert dg.sff_norm2(model.jacobian(np.zeros(2)), model.hessian(np.zeros(2))) == 0.0
 
 
+def _random_jacobian(rng, k, m, n, lam_max):
+    """k random m x n matrices with singular values uniform in [0, lam_max]."""
+    u, _, vt = np.linalg.svd(rng.standard_normal((k, m, n)), full_matrices=False)
+    s = rng.uniform(0.0, lam_max, (k, min(m, n)))
+    return (u * s[..., None, :]) @ vt
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 4), (1, 3), (4, 2)])
+def test_frame_free_sff_norm2_matches_adapted_frame(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    J = _random_jacobian(rng, 200, m, n, 10.0)
+    H = rng.standard_normal((200, m, n, n))
+    H = H + np.swapaxes(H, -1, -2)
+    ref = np.sum(dg.sff_components(J, H) ** 2, axis=(-3, -2, -1))
+    np.testing.assert_allclose(dg.sff_norm2(J, H), ref, rtol=1e-12, atol=0.0)
+    for j in range(5):
+        single = dg.sff_norm2(J[j], H[j])
+        assert isinstance(single, float)
+        assert single == pytest.approx(ref[j], rel=1e-12)
+
+
 def test_curve_curvature_closed_form():
     # graph of u(x) = x^2 / 2: curvature 1 / (1 + x^2)^{3/2} at slope x
     for x in (0.0, 0.7, 2.0):
@@ -164,6 +185,35 @@ def test_curvature_integral_cone_scaling():
     slope, vals = dg.curvature_growth_slope(model, [1.0, 2.0], nodes_per_axis=16)
     assert np.all(vals > 0.0)
     assert slope == pytest.approx(2.0, abs=0.05)
+
+
+def test_cone_curvature_integral_pinned():
+    # the adapted-frame value: the frame-free |B|^2 must reproduce it
+    value = dg.curvature_integral(model_lawson_osserman(), 2.0, 30)
+    assert value == pytest.approx(496.0742114161113, rel=1e-12)
+
+
+def test_curvature_integral_runs_without_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("curvature_integral needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert dg.curvature_integral(model_lawson_osserman(), 1.0, 8) > 0.0
+
+
+def test_sff_tensor_runs_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    model = model_lawson_osserman()
+    x = np.array([0.8, 0.1, -0.3, 0.5])
+    dg.sff_tensor(model.jacobian(x), model.hessian(x))
+    assert len(calls) == 1
 
 
 def test_curvature_integral_input_validation():

@@ -107,6 +107,33 @@ def test_hopf_cone_homogeneity_and_radius():
         )
 
 
+def _hopf_cone_hessian_reference(x):
+    """Reference: the cone Hessian expanded in powers of 1/|x|."""
+    from mingraph.models import _LO_Q, _LO_SCALE
+
+    r = np.sqrt(np.sum(x**2, axis=-1))[..., None, None, None]
+    q = np.einsum("...i,aij,...j->...a", x, _LO_Q, x)[..., None, None]
+    dq = 2.0 * np.einsum("aij,...j->...ai", _LO_Q, x)
+    term1 = 2.0 * _LO_Q / r
+    term2 = (dq[..., :, :, None] * x[..., None, None, :]
+             + dq[..., :, None, :] * x[..., None, :, None]) / r**3
+    term3 = q * np.eye(4) / r**3
+    term4 = 3.0 * q * x[..., None, :, None] * x[..., None, None, :] / r**5
+    return _LO_SCALE * (term1 - term2 - term3 + term4)
+
+
+def test_hopf_cone_hessian_matches_closed_form():
+    model = model_lawson_osserman()
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((500, 4)) * rng.uniform(0.01, 10.0, (500, 1))
+    for pts in (x, x[0]):
+        H = model.hessian(pts)
+        ref = _hopf_cone_hessian_reference(pts)
+        assert H.shape == ref.shape
+        assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(H, np.swapaxes(H, -1, -2))
+
+
 def test_hopf_cone_vertex_rejected():
     model = model_lawson_osserman()
     with pytest.raises(DomainError):
