@@ -38,11 +38,8 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidConfigError(message)
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def positive_int(text: str) -> int:
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p)
         if threaded:
-            p.add_argument("--threads", type=_thread_count, default=1,
+            p.add_argument("--threads", type=positive_int, default=1,
                            help="worker cap")
         p.set_defaults(fn=fn)
     p = sub.add_parser("zoo", help="model registry")

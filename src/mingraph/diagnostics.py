@@ -117,7 +117,8 @@ def _sff_norm2(J, H, g):
     gram = J @ np.swapaxes(J, -1, -2) + np.eye(m)
     w = ginv @ H @ ginv  # g^{ik} H^a_{kl} g^{lj}
     k = np.linalg.inv(gram) @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
-    return np.vecdot(w.reshape(w.shape[:-3] + (-1,)), k.reshape(k.shape[:-2] + (-1,)))
+    w = w.reshape(w.shape[:-3] + (-1,))
+    return np.einsum("...i,...i->...", w, k.reshape(k.shape[:-2] + (-1,)))
 
 
 def sff_norm2(jacobian, hessian) -> np.ndarray:
@@ -126,7 +127,9 @@ def sff_norm2(jacobian, hessian) -> np.ndarray:
     |B|^2 = sum g^{ik} g^{jl} H^a_{ij} N_{ab} H^b_{kl}, with g = I + J^T J the
     induced metric and N = (I + J J^T)^{-1} the inverse Gram matrix of the
     normals (-grad u^a, e_a).  It agrees with the sum of squared adapted-frame
-    components (``sff_components``) to about eps * lam_1^2 relative.
+    components (``sff_components``) to about eps * (1 + lam_1^2) relative,
+    lam_1 the largest singular value of J: 2e-10 at lam_1 = 1e3, and no
+    correct digits left near lam_1 = 1e8.
     """
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
@@ -331,7 +334,8 @@ def curvature_integral(
 
     Integrates |B|^2 v over {x : cutoff <= |x| <= radius} in the base, the
     cutoff excising a fixed fraction of the radius around possible cone
-    vertices.
+    vertices.  |B|^2 comes from ``sff_norm2``'s frame-free formula, so each
+    point carries its relative error of about eps * (1 + lam_1^2).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -92,6 +92,19 @@ def test_frame_free_sff_norm2_matches_adapted_frame(m, n):
         assert single == pytest.approx(ref[j], rel=1e-12)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (3, 4), (1, 3), (4, 2)])
+def test_frame_free_sff_norm2_error_bound_on_steep_graphs(m, n):
+    # the documented accuracy: about eps * (1 + lam_1^2) relative per point
+    rng = np.random.default_rng(100 + 10 * m + n)
+    J = _random_jacobian(rng, 200, m, n, 1e3)
+    H = rng.standard_normal((200, m, n, n))
+    H = H + np.swapaxes(H, -1, -2)
+    ref = np.sum(dg.sff_components(J, H) ** 2, axis=(-3, -2, -1))
+    lam1 = np.linalg.svd(J, compute_uv=False)[..., 0]
+    rel = np.abs(dg.sff_norm2(J, H) - ref) / ref
+    assert np.all(rel <= 16.0 * np.finfo(float).eps * (1.0 + lam1**2))
+
+
 def test_curve_curvature_closed_form():
     # graph of u(x) = x^2 / 2: curvature 1 / (1 + x^2)^{3/2} at slope x
     for x in (0.0, 0.7, 2.0):

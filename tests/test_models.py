@@ -130,7 +130,9 @@ def test_hopf_cone_hessian_matches_closed_form():
         H = model.hessian(pts)
         ref = _hopf_cone_hessian_reference(pts)
         assert H.shape == ref.shape
-        assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # per point: |H| ~ 1/|x| spans three decades over the batch
+        err = np.max(np.abs(H - ref), axis=(-3, -2, -1))
+        assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(-3, -2, -1)))
         assert np.array_equal(H, np.swapaxes(H, -1, -2))
 
 
