@@ -128,6 +128,61 @@ def _argmin_key(vals, m1, p2, p3):
     )
 
 
+def _scan_grid(grid_step, mu_max, ceiling, floor, tol, threads) -> dict:
+    """Scan phi over the admissible triples of a uniform grid on [0, mu_max]^3.
+
+    A triple is admissible when its largest pairwise product is at most
+    ``ceiling`` (``None``: the sharp limit of its largest entry, see
+    ``_pairwise_limit``).  Returns the grid step, the admissible count, the
+    minimum of phi and its argmin, the counts of phi < floor - tol, of
+    pairwise products > 4 + tol and of triples with every entry <= 1, and the
+    largest admissible pairwise product.
+    """
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+    k = max(1, int(round(mu_max / grid_step)))
+    grid = np.arange(k + 1) * (mu_max / k)
+    m2, m3 = np.meshgrid(grid, grid, indexing="ij")
+    m2, m3 = m2.ravel(), m3.ravel()
+    # m1-free parts: for m1 >= 0, m1 * max(m2, m3) == max(m1 m2, m1 m3) exactly
+    top23, prod23 = np.maximum(m2, m3), m2 * m3
+
+    def scan_slice(rng):
+        true_min, worst_pair = np.inf, -np.inf
+        best_key = (np.inf, (np.inf,) * 3, (0.0, 0.0, 0.0))
+        counts = (0, 0, 0, 0)
+        for m1 in grid[slice(*rng)]:
+            pairmax = np.maximum(m1 * top23, prod23)
+            limit = (_pairwise_limit(np.maximum(m1, top23)) if ceiling is None
+                     else ceiling)
+            adm = pairmax <= limit + CONSTRAINT_SLACK
+            if not np.any(adm):
+                continue
+            p2, p3, pp = m2[adm], m3[adm], pairmax[adm]
+            vals = 4.0 + m1 * p2 * p3 - m1 * p2 - m1 * p3 - p2 * p3
+            low = np.count_nonzero(top23[adm] <= 1.0) if m1 <= 1.0 else 0
+            found = (vals.size, np.count_nonzero(vals < floor - tol),
+                     np.count_nonzero(pp > 4.0 + tol), low)
+            counts = tuple(c + int(f) for c, f in zip(counts, found))
+            true_min = min(true_min, float(np.min(vals)))
+            best_key = min(best_key, _argmin_key(vals, m1, p2, p3))
+            worst_pair = max(worst_pair, float(np.max(pp)))
+        return true_min, best_key, counts, worst_pair
+
+    results = run_chunks(scan_slice, chunk_ranges(grid.size, 16), threads)
+    counts = [sum(r[2][j] for r in results) for j in range(4)]
+    return {
+        "grid_step": mu_max / k,
+        "samples": counts[0],
+        "min_value": min(r[0] for r in results),
+        "argmin": list(min(r[1] for r in results)[2]),
+        "phi_violations": counts[1],
+        "pairwise_gt4": counts[2],
+        "low": counts[3],
+        "max_pair": max(r[3] for r in results),
+    }
+
+
 def scan_mu123(
     grid_step: float,
     mu_max: float = 4.0,
@@ -144,74 +199,28 @@ def scan_mu123(
     ``constraint="pairwise_le_4"`` the hypothesis is deliberately weakened to
     mu_i mu_j <= 4; violations are then expected and demonstrate sharpness.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     if constraint not in ("sharp", "pairwise_le_4"):
         raise ValueError(f"unknown constraint '{constraint}'")
-    k = max(1, int(round(mu_max / grid_step)))
-    grid = np.arange(k + 1) * (mu_max / k)
-    m2, m3 = np.meshgrid(grid, grid, indexing="ij")
-    m2, m3 = m2.ravel(), m3.ravel()
-
-    def scan_slice(rng):
-        lo, hi = rng
-        true_min = np.inf
-        best_key = (np.inf, (np.inf,) * 3, (0.0, 0.0, 0.0))
-        worst_pair = -np.inf
-        n_adm = 0
-        n_viol = 0
-        n_pair_viol = 0
-        n_low = 0
-        for m1 in grid[lo:hi]:
-            mmax = np.maximum(m1, np.maximum(m2, m3))
-            pairmax = np.maximum(m1 * m2, np.maximum(m1 * m3, m2 * m3))
-            if constraint == "sharp":
-                adm = pairmax <= _pairwise_limit(mmax) + CONSTRAINT_SLACK
-            else:
-                adm = pairmax <= 4.0 + CONSTRAINT_SLACK
-            if not np.any(adm):
-                continue
-            p2, p3, pp = m2[adm], m3[adm], pairmax[adm]
-            vals = 4.0 + m1 * p2 * p3 - m1 * p2 - m1 * p3 - p2 * p3
-            n_adm += vals.size
-            n_low += int(np.count_nonzero(np.maximum(m1, np.maximum(p2, p3)) <= 1.0))
-            n_viol += int(np.count_nonzero(vals < -tol))
-            if constraint == "sharp":
-                n_pair_viol += int(np.count_nonzero(pp > 4.0 + tol))
-            true_min = min(true_min, float(np.min(vals)))
-            cand = _argmin_key(vals, m1, p2, p3)
-            if cand < best_key:
-                best_key = cand
-            worst_pair = max(worst_pair, float(np.max(pp)))
-        return (true_min, best_key), n_adm, n_viol, n_pair_viol, n_low, worst_pair
-
-    results = run_chunks(scan_slice, chunk_ranges(grid.size, 16), threads)
-    best = (
-        min(r[0][0] for r in results),
-        min(r[0][1] for r in results)[2],
-    )
-    n_adm = sum(r[1] for r in results)
-    n_viol = sum(r[2] for r in results)
-    n_pair_viol = sum(r[3] for r in results)
-    n_low = sum(r[4] for r in results)
-    worst_pair = max(r[5] for r in results)
+    sharp = constraint == "sharp"
+    scan = _scan_grid(grid_step, mu_max, None if sharp else 4.0, 0.0, tol, threads)
+    n_pair_viol = scan["pairwise_gt4"] if sharp else 0
     return ScanReport(
-        check="mu123" if constraint == "sharp" else "mu123-weakened",
+        check="mu123" if sharp else "mu123-weakened",
         params={
-            "grid_step": mu_max / k,
+            "grid_step": scan["grid_step"],
             "mu_max": mu_max,
             "tol": tol,
             "constraint": constraint,
         },
-        samples=n_adm,
-        min_value=best[0],
-        argmin=list(best[1]),
-        violations=n_viol + n_pair_viol,
+        samples=scan["samples"],
+        min_value=scan["min_value"],
+        argmin=scan["argmin"],
+        violations=scan["phi_violations"] + n_pair_viol,
         notes={
-            "phi_violations": n_viol,
+            "phi_violations": scan["phi_violations"],
             "pairwise_gt4_violations": n_pair_viol,
-            "unconstrained_low_region_triples": n_low,
-            "max_pairwise_product": worst_pair,
+            "unconstrained_low_region_triples": scan["low"],
+            "max_pairwise_product": scan["max_pair"],
         },
     )
 
@@ -226,48 +235,16 @@ def scan_mu123_lambda(
     """Grid check of phi >= (2 - sqrt(2)) (2 - Lambda^2) under pairwise <= Lambda^2."""
     if not 0.0 < lam <= SQRT2 + 1e-12:
         raise ValueError("Lambda must lie in (0, sqrt(2)]")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     bound = (2.0 - SQRT2) * (2.0 - lam * lam)
-    k = max(1, int(round(mu_max / grid_step)))
-    grid = np.arange(k + 1) * (mu_max / k)
-    m2, m3 = np.meshgrid(grid, grid, indexing="ij")
-    m2, m3 = m2.ravel(), m3.ravel()
-    lam2 = lam * lam
-
-    def scan_slice(rng):
-        lo, hi = rng
-        true_min = np.inf
-        best_key = (np.inf, (np.inf,) * 3, (0.0, 0.0, 0.0))
-        n_adm = 0
-        n_viol = 0
-        for m1 in grid[lo:hi]:
-            pairmax = np.maximum(m1 * m2, np.maximum(m1 * m3, m2 * m3))
-            adm = pairmax <= lam2 + CONSTRAINT_SLACK
-            if not np.any(adm):
-                continue
-            p2, p3 = m2[adm], m3[adm]
-            vals = 4.0 + m1 * p2 * p3 - m1 * p2 - m1 * p3 - p2 * p3
-            n_adm += vals.size
-            n_viol += int(np.count_nonzero(vals < bound - tol))
-            true_min = min(true_min, float(np.min(vals)))
-            cand = _argmin_key(vals, m1, p2, p3)
-            if cand < best_key:
-                best_key = cand
-        return (true_min, best_key), n_adm, n_viol
-
-    results = run_chunks(scan_slice, chunk_ranges(grid.size, 16), threads)
-    best = (
-        min(r[0][0] for r in results),
-        min(r[0][1] for r in results)[2],
-    )
+    scan = _scan_grid(grid_step, mu_max, lam * lam, bound, tol, threads)
     return ScanReport(
         check="mu123-lambda",
-        params={"Lambda": lam, "grid_step": mu_max / k, "mu_max": mu_max, "tol": tol},
-        samples=sum(r[1] for r in results),
-        min_value=best[0],
-        argmin=list(best[1]),
-        violations=sum(r[2] for r in results),
+        params={"Lambda": lam, "grid_step": scan["grid_step"], "mu_max": mu_max,
+                "tol": tol},
+        samples=scan["samples"],
+        min_value=scan["min_value"],
+        argmin=scan["argmin"],
+        violations=scan["phi_violations"],
         notes={"bound": bound},
     )
 
@@ -528,8 +505,6 @@ def xi11_sampler(
             lam1 = sv[:, 0]
             lam2 = sv[:, 1] if sv.shape[1] > 1 else np.zeros(batch)
             detb = np.exp(np.sum(np.log1p(sv**2), axis=1))
-            if n > sv.shape[1]:
-                pass  # extra singular values are zero; det factors are 1
             ok = (lam1 * lam2 <= lam_bound) & (a11 >= (1.0 - eps) * np.sqrt(detb))
             if draws > max(1e6, need / 1e-6) and have == 0:
                 raise SamplingFailureError("xi_11 sampler acceptance below 1e-6")

@@ -16,7 +16,7 @@ import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs
 from mingraph.grassmann import induced_metric, slope, two_dilation
-from mingraph.util import cell_midpoints, chunk_ranges
+from mingraph.util import _ball_midpoint_sum
 
 _CHUNK = 50000
 
@@ -339,17 +339,14 @@ def curvature_integral(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    h, pts = cell_midpoints(np.zeros(model.n), radius, nodes_per_axis)
-    r = np.linalg.norm(pts, axis=1)
-    pts = pts[(r <= radius) & (r >= vertex_cutoff_frac * radius)]
-    total = 0.0
-    for lo, hi in chunk_ranges(pts.shape[0], _CHUNK):
-        chunk = pts[lo:hi]
-        J = model.jacobian(chunk)
+
+    def piece(x):
+        J = model.jacobian(x)
         g, log_v = induced_metric(J)
-        b2 = _sff_norm2(J, model.hessian(chunk), g)
-        total += float(np.sum(b2 * np.exp(log_v)))
-    return total * h**model.n
+        return float(np.sum(_sff_norm2(J, model.hessian(x), g) * np.exp(log_v)))
+
+    return _ball_midpoint_sum(piece, np.zeros(model.n), radius, nodes_per_axis, _CHUNK,
+                              vertex_cutoff_frac * radius)
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):

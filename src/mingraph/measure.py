@@ -15,8 +15,7 @@ import numpy as np
 
 from mingraph.grassmann import induced_metric
 from mingraph.models import AnalyticModel
-from mingraph.util import (cell_midpoints, chunk_ranges, grid_points, run_chunks,
-                           unit_ball_volume)
+from mingraph.util import _ball_midpoint_sum, grid_points, unit_ball_volume
 
 VERTEX_CUTOFF_FRAC = 1e-3
 _CHUNK = 200000
@@ -66,32 +65,21 @@ class DensityProfile:
 
 
 def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
-    """Midpoint-rule integral of v over the masked base grid."""
-    c_base = center[: model.n]
-    h, pts = cell_midpoints(c_base, radius, nodes)
+    """Midpoint-rule integral of v over domain cells whose graph point is in the ball."""
 
-    def piece(rng):
-        lo, hi = rng
-        chunk = pts[lo:hi]
-        keep = np.asarray(model.in_domain(chunk))
-        if cutoff > 0.0:
-            keep = keep & (np.linalg.norm(chunk - c_base, axis=-1) >= cutoff)
-        chunk = chunk[keep]
-        if chunk.size == 0:
+    def volume(x):
+        x = x[np.asarray(model.in_domain(x))]
+        if x.size == 0:
             return 0.0
-        amb = np.concatenate([chunk, model.value(chunk)], axis=-1)
-        chunk = chunk[np.linalg.norm(amb - center, axis=-1) <= radius]
-        if chunk.size == 0:
+        amb = np.concatenate([x, model.value(x)], axis=-1)
+        x = x[np.linalg.norm(amb - center, axis=-1) <= radius]
+        if x.size == 0:
             return 0.0
-        _, log_v = induced_metric(model.jacobian(chunk))
+        _, log_v = induced_metric(model.jacobian(x))
         return float(np.sum(np.exp(log_v)))
 
-    parts = run_chunks(piece, chunk_ranges(pts.shape[0], _CHUNK), threads)
-    # pairwise reduction keeps the sum independent of chunk sizes' grouping
-    vals = list(parts)
-    while len(vals) > 1:
-        vals = [sum(vals[i : i + 2]) for i in range(0, len(vals), 2)]
-    return (vals[0] if vals else 0.0) * h**model.n
+    return _ball_midpoint_sum(volume, center[: model.n], radius, nodes, _CHUNK, cutoff,
+                              threads)
 
 
 def graph_volume(

@@ -1,4 +1,4 @@
-"""Small shared helpers: grid points, deterministic chunks and ball volumes."""
+"""Small shared helpers: grid points, deterministic chunks, ball sums and volumes."""
 
 from __future__ import annotations
 
@@ -47,8 +47,37 @@ def grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def cell_midpoints(center, radius: float, nodes: int):
-    """Cell width h and the midpoints of the nodes^n cells of center +- radius."""
+def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
+                       cutoff: float = 0.0, threads: int = 1) -> float:
+    """Midpoint rule h^n sum fn(x) over the nodes^n cells of the box center +- radius.
+
+    ``fn`` gets, one chunk at a time, the (k, n) cell midpoints x with
+    cutoff <= |x - center| <= radius, and returns the float sum of its
+    integrand there.  A chunk is a fixed range of ``chunk`` flat cell indices
+    whose midpoints are built on demand, so memory is O(chunk), not
+    O(nodes^n).  The chunks are fixed and their sums reduced pairwise in
+    order, so the result does not depend on ``threads``.
+    """
+    if not float(nodes).is_integer() or nodes < 1:
+        raise ValueError(f"node count must be an integer >= 1, got {nodes!r}")
+    center = np.asarray(center, dtype=float)
+    n, nodes = center.size, int(nodes)
     h = 2.0 * radius / nodes
     axis = -radius + h * (np.arange(nodes) + 0.5)
-    return h, grid_points([c + axis for c in center])
+    axes = [c + axis for c in center]
+    squares = [(a - c) ** 2 for a, c in zip(axes, center)]
+
+    def piece(rng):
+        idx = np.unravel_index(np.arange(*rng), (nodes,) * n)
+        # |x - center| summed axis by axis in np.linalg.norm's order: a cell
+        # dropped here never has its graph point (a longer norm) in the ball
+        r = np.sqrt(sum(sq[i] for sq, i in zip(squares, idx)))
+        keep = (r >= cutoff) & (r <= radius)
+        if not keep.any():
+            return 0.0
+        return fn(np.stack([a[i[keep]] for a, i in zip(axes, idx)], axis=-1))
+
+    vals = run_chunks(piece, chunk_ranges(nodes**n, chunk), threads)
+    while len(vals) > 1:
+        vals = [sum(vals[i : i + 2]) for i in range(0, len(vals), 2)]
+    return (vals[0] if vals else 0.0) * h**n

@@ -1,5 +1,6 @@
 """Unit tests for the inequality scans, samplers, and the log v identity rhs."""
 
+import json
 import math
 
 import numpy as np
@@ -83,6 +84,39 @@ def test_scan_lambda_clean(lam):
 def test_scan_lambda_rejects_bad_bound():
     with pytest.raises(ValueError):
         algebra.scan_mu123_lambda(2.0, 0.1)
+
+
+# Reports of the sharp, weakened and Lambda scans, pinned byte for byte.
+_PINNED_SCANS = {
+    "sharp": (lambda: algebra.scan_mu123(0.1), {
+        "argmin": [0.0, 2.0, 2.0], "check": "mu123", "max_value": None,
+        "min_value": -8.881784197001252e-16,
+        "notes": {"max_pairwise_product": 4.0, "pairwise_gt4_violations": 0,
+                  "phi_violations": 0, "unconstrained_low_region_triples": 1331},
+        "params": {"constraint": "sharp", "grid_step": 0.1, "mu_max": 4.0,
+                   "tol": 1e-09},
+        "samples": 17538, "seed": None, "violations": 0}),
+    "pairwise_le_4": (lambda: algebra.scan_mu123(0.1, constraint="pairwise_le_4"), {
+        "argmin": [1.0, 1.0, 4.0], "check": "mu123-weakened", "max_value": None,
+        "min_value": -1.0,
+        "notes": {"max_pairwise_product": 4.0, "pairwise_gt4_violations": 0,
+                  "phi_violations": 1689, "unconstrained_low_region_triples": 1331},
+        "params": {"constraint": "pairwise_le_4", "grid_step": 0.1, "mu_max": 4.0,
+                   "tol": 1e-09},
+        "samples": 21813, "seed": None, "violations": 1689}),
+    "lambda-1.2": (lambda: algebra.scan_mu123_lambda(1.2, 0.1), {
+        "argmin": [1.2000000000000002] * 3, "check": "mu123-lambda",
+        "max_value": None, "min_value": 1.4079999999999995,
+        "notes": {"bound": 0.32804040507106674},
+        "params": {"Lambda": 1.2, "grid_step": 0.1, "mu_max": 4.0, "tol": 1e-09},
+        "samples": 6274, "seed": None, "violations": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SCANS))
+def test_scan_reports_pinned(name):
+    scan, expected = _PINNED_SCANS[name]
+    assert scan().to_json() == json.dumps(expected, sort_keys=True, indent=2)
 
 
 def test_delta_logv_rhs_zero_spectrum_is_b_norm():

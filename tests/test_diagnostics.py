@@ -232,6 +232,9 @@ def test_sff_tensor_runs_one_svd(monkeypatch):
 def test_curvature_integral_input_validation():
     with pytest.raises(ValueError):
         dg.curvature_integral(model_slag_exp(), -1.0)
+    for nodes in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="node count"):
+            dg.curvature_integral(model_slag_exp(), 1.0, nodes)
 
 
 def test_write_diagnostics_csv(tmp_path):

@@ -1,11 +1,13 @@
 """Unit tests for volume quadrature, density profiles, and blow-downs."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mingraph import measure
+from mingraph import diagnostics, measure
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
 from mingraph.util import chunk_ranges, run_chunks, unit_ball_volume
 
@@ -47,6 +49,8 @@ def test_volume_report_validation():
     model = model_affine(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         measure.graph_volume(model, np.zeros(3), 1.0, resolution=16)
+    with pytest.raises(ValueError, match="node count"):
+        measure.graph_volume(model, np.zeros(3), 1.0, resolution=64.5)
     with pytest.raises(ValueError):
         measure.graph_volume(model, np.zeros(2), 1.0)
 
@@ -160,3 +164,61 @@ def test_max_slope_steep_plane_is_finite():
     # det g = (1 + 1e200)^2 overflows; the slope 1 + 1e200 does not
     model = model_affine(1e100 * np.eye(2))
     assert measure.max_slope_on_box(model, 1.0, 5) == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("model,center,radius,resolution,threads,expected", [
+    (model_lawson_osserman(), np.zeros(7), 1.5, 32, 1,
+     "VolumeReport(region='ball(r=1.5)', value=44.32777404785156, resolution=32, "
+     "est_error=0.3670806887014044)"),
+    (model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1]), 0.8, 512, 2,
+     "VolumeReport(region='ball(r=0.8)', value=1.8805090198588488, resolution=512, "
+     "est_error=0.00044722193515012165)"),
+], ids=["cone-vertex", "slag-exp-off-centre"])
+def test_graph_volume_pinned(model, center, radius, resolution, threads, expected):
+    # both grids span several chunks, so the pairwise chunk reduction is pinned too
+    rep = measure.graph_volume(model, center, radius, resolution, threads)
+    assert repr(rep) == expected
+
+
+def test_graph_volume_evaluates_model_only_inside_base_ball():
+    model = model_slag_exp()
+    seen = []
+
+    def value(x):
+        seen.append(np.array(x))
+        return model.value(x)
+
+    center, radius = np.array([0.3, -0.2, 1.0, 0.1]), 0.8
+    measure.graph_volume(dataclasses.replace(model, value=value), center, radius, 64)
+    dist = np.linalg.norm(np.concatenate(seen) - center[:2], axis=1)
+    assert np.all(dist <= radius)
+    # and every midpoint of the base ball is evaluated, on both grids
+    inside = 0
+    for nodes in (32, 64):
+        h = 2.0 * radius / nodes
+        axis = -radius + h * (np.arange(nodes) + 0.5)
+        mids = np.stack(np.meshgrid(*(c + axis for c in center[:2]), indexing="ij"), -1)
+        inside += np.count_nonzero(np.linalg.norm(mids - center[:2], axis=-1) <= radius)
+    assert dist.size == inside
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("quadrature", [
+    lambda nodes: measure.graph_volume(model_affine(np.array([[0.5, -0.2]])),
+                                       np.zeros(3), 1.0, nodes),
+    lambda nodes: diagnostics.curvature_integral(model_slag_exp(), 1.0, nodes),
+], ids=["graph_volume", "curvature_integral"])
+def test_quadrature_memory_flat_in_resolution(monkeypatch, quadrature):
+    # a small chunk keeps the test quick; both grids hold dozens of chunks
+    monkeypatch.setattr(measure, "_CHUNK", 4096)
+    monkeypatch.setattr(diagnostics, "_CHUNK", 4096)
+    small, large = (_peak_mb(lambda: quadrature(nodes)) for nodes in (256, 512))
+    assert large < 1.25 * small
