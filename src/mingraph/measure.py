@@ -106,8 +106,9 @@ def graph_volume(
         raise ValueError(f"center must be an ambient point of length {n + model.m}")
     vertex = not bool(np.asarray(model.in_domain(center[:n])))
     cutoff = VERTEX_CUTOFF_FRAC * radius if vertex else 0.0
-    coarse = _volume_once(model, center, radius, resolution // 2, cutoff, threads)
+    # fine pass first, so that a fractional resolution fails before any work
     fine = _volume_once(model, center, radius, resolution, cutoff, threads)
+    coarse = _volume_once(model, center, radius, resolution // 2, cutoff, threads)
     err = abs(fine - coarse)
     if vertex:
         # the excised piece has volume at most sup v * omega_n * cutoff^n;
