@@ -68,14 +68,21 @@ def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
     squares = [(a - c) ** 2 for a, c in zip(axes, center)]
 
     def piece(rng):
-        idx = np.unravel_index(np.arange(*rng), (nodes,) * n)
-        # |x - center| summed axis by axis in np.linalg.norm's order: a cell
+        lo, hi = rng
+        # the chunk spans these rows along the last axis; a row's cells share
+        # their leading indices, so only the row starts are unravelled
+        rows = np.arange(lo // nodes, -(-hi // nodes))
+        lead = np.unravel_index(rows * nodes, (nodes,) * n)[:-1]
+        # |x - center|^2 summed axis by axis in np.linalg.norm's order: a cell
         # dropped here never has its graph point (a longer norm) in the ball
-        r = np.sqrt(sum(sq[i] for sq, i in zip(squares, idx)))
-        keep = (r >= cutoff) & (r <= radius)
-        if not keep.any():
+        d2 = np.add.outer(sum(sq[i] for sq, i in zip(squares, lead)), squares[-1])
+        r = np.sqrt(d2.reshape(-1)[lo % nodes : lo % nodes + hi - lo])
+        kept = np.flatnonzero((r >= cutoff) & (r <= radius)) + lo % nodes
+        if kept.size == 0:
             return 0.0
-        return fn(np.stack([a[i[keep]] for a, i in zip(axes, idx)], axis=-1))
+        row, col = np.divmod(kept, nodes)
+        x = [a[i[row]] for a, i in zip(axes, lead)] + [axes[-1][col]]
+        return fn(np.stack(x, axis=-1))
 
     vals = run_chunks(piece, chunk_ranges(nodes**n, chunk), threads)
     while len(vals) > 1:
