@@ -340,13 +340,13 @@ def curvature_integral(
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    def piece(x):
+    def integrand(x):
         J = model.jacobian(x)
         g, log_v = induced_metric(J)
         return float(np.sum(_sff_norm2(J, model.hessian(x), g) * np.exp(log_v)))
 
-    return _ball_midpoint_sum(piece, np.zeros(model.n), radius, nodes_per_axis, _CHUNK,
-                              vertex_cutoff_frac * radius)
+    return _ball_midpoint_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
+                              _CHUNK, vertex_cutoff_frac * radius)
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):
