@@ -3,7 +3,8 @@
 Subcommands: ``invariants``, ``verify-algebra``, ``solve``, ``diagnose``,
 ``measure``, ``zoo list``.  Every run reads one JSON config (where needed),
 writes deterministic reports (JSON/CSV/XML/MGP1) into the output directory,
-and reserves timestamps for a separate ``run.log``.  Exit codes: 0 success,
+and reserves timestamps and timings for a separate ``run.log`` (``solve``
+appends one JSON line per Newton iteration there).  Exit codes: 0 success,
 1 assertion failure, 2 solver non-convergence, 3 invalid input (usage errors
 included).
 """
@@ -167,6 +168,9 @@ def cmd_solve(args) -> int:
     )
     solver.save_patch(patch, out / "solved.json")
     _write_json(out / "solve_report.json", report.to_dict())
+    with open(out / "run.log", "a") as fh:  # timings vary: one JSON line each
+        for entry in report.iteration_log:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
     print(
         f"solve: iterations={report.iterations} residual={report.residual:.3e} "
         f"converged={report.converged}"

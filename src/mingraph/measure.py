@@ -71,8 +71,11 @@ def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
         x = x[np.asarray(model.in_domain(x))]
         if x.size == 0:
             return 0.0
-        amb = np.concatenate([x, model.value(x)], axis=-1)
-        x = x[np.linalg.norm(amb - center, axis=-1) <= radius]
+        # |(x, u(x)) - center| summed column by column in np.linalg.norm's
+        # order (the same bits), not row by row over a short last axis
+        cols = [*x.T, *model.value(x).T]
+        d2 = sum((col - c) ** 2 for col, c in zip(cols, center))
+        x = x[np.sqrt(d2) <= radius]
         if x.size == 0:
             return 0.0
         _, log_v = induced_metric(model.jacobian(x))

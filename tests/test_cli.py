@@ -124,6 +124,27 @@ def test_solve_from_patch_file(tmp_path):
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
+def test_solve_logs_each_newton_iteration(tmp_path):
+    cfg = write_cfg(tmp_path, "solve.json",
+                    {"model": "slag-exp", "origin": [0, 0], "dims": [17, 17],
+                     "spacing": 0.0625})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "solve_report.json").read_text())
+    assert set(report) == {"iterations", "residual", "converged", "damping_history"}
+    lines = [json.loads(line) for line in (out / "run.log").read_text().splitlines()
+             if line.startswith("{")]
+    assert len(lines) == report["iterations"] >= 1
+    assert [entry["iteration"] for entry in lines] == list(range(1, len(lines) + 1))
+    assert [entry["step"] for entry in lines] == report["damping_history"]
+    assert lines[-1]["residual"] == report["residual"]
+    for entry in lines:
+        assert set(entry) == {"iteration", "residual", "step", "assemble_s",
+                              "factor_s", "solve_s", "factor_nnz"}
+        assert min(entry["assemble_s"], entry["factor_s"], entry["solve_s"]) >= 0.0
+        assert entry["factor_nnz"] >= 15 * 15 * 2
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     cfg = write_cfg(
         tmp_path,

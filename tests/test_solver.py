@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mingraph import solver
 from mingraph.models import model_affine, model_slag_exp
@@ -243,3 +244,104 @@ def test_weak_harmonicity_defect_matches_node_loop(dims):
     for alpha in (0, 1):
         assert solver.weak_harmonicity_defect(patch, alpha) == pytest.approx(
             weak_defect_node_loop(patch, alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 7), (9, 6), (15, 15, 15), (5, 4, 6, 3)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_unknown_order_is_a_permutation_with_nodes_together(dims, m):
+    n_nodes = math.prod(d - 2 for d in dims)
+    perm = solver._unknown_order(dims, m)
+    assert np.array_equal(np.sort(perm), np.arange(n_nodes * m))
+    # each node's m unknowns node*m + alpha sit next to each other, in order
+    blocks = perm.reshape(n_nodes, m)
+    assert np.all(blocks[:, 0] % m == 0)
+    assert np.array_equal(blocks, blocks[:, :1] + np.arange(m))
+
+
+def test_dissection_order_puts_the_middle_plane_last():
+    # 13^3 interior: the first split is the plane x0 = 6, numbered last, and
+    # the two halves x0 < 6 and x0 > 6 come before it, in that order
+    order = solver._dissection_order((13, 13, 13))
+    x0 = np.unravel_index(order, (13, 13, 13))[0]
+    assert np.all(x0[-13 * 13:] == 6)
+    assert np.all(x0[: 6 * 13 * 13] < 6)
+    assert np.all(x0[6 * 13 * 13 : -13 * 13] > 6)
+    assert not order.flags.writeable
+
+
+def quadratic_patch_3d(nodes):
+    """m = 2 data b.x + x^T Q x on [0, 1]^3 with nonzero traces (not harmonic)."""
+    Q = np.array([[[0.6, 0.3, -0.2], [0.3, 0.2, 0.4], [-0.2, 0.4, -0.1]],
+                  [[-0.3, 0.2, 0.5], [0.2, 0.7, -0.3], [0.5, -0.3, 0.4]]])
+    B = np.array([[0.3, -0.2, 0.1], [-0.1, 0.25, 0.2]])
+    dims = (nodes,) * 3
+    patch = solver.GraphPatch(3, 2, dims, 1.0 / (nodes - 1), np.zeros(3),
+                              np.zeros(dims + (2,)))
+    x = patch.node_coords()
+    patch.values[:] = np.stack(
+        [x @ B[a] + np.einsum("...i,ij,...j->...", x, Q[a], x) for a in range(2)],
+        axis=-1)
+    patch.values[1:-1, 1:-1, 1:-1] = 0.0
+    return patch
+
+
+def newton_system(patch):
+    """The first Newton matrix and right side, from the harmonic initial guess."""
+    solver.harmonic_initial_guess(patch)
+    A = solver._assemble(patch, include_gradient_terms=True)
+    return A, -solver.strong_residual_field(patch).reshape(-1)
+
+
+def test_ordered_solve_matches_colamd_reference():
+    slag = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], (33, 33), 1 / 32)
+    slag.values[1:-1, 1:-1] = 0.0
+    for patch in (slag, quadratic_patch_3d(17)):
+        A, b = newton_system(patch)
+        perm = solver._unknown_order(patch.dims, patch.m)
+        x, stats = solver._ordered_solve(A, b, perm)
+        reference = spla.splu(A)  # SuperLU's default COLAMD column order
+        expected = reference.solve(b)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        if patch.n == 3:
+            # 17^3 with m = 2: nested dissection has far less fill than COLAMD
+            assert stats["factor_nnz"] < 0.6 * reference.nnz
+
+
+def test_picard_fallback_converges_through_the_ordered_factor(monkeypatch):
+    # a negated Newton matrix turns every damped Newton step into an ascent
+    # step, so the first two iterations fall back to the frozen-coefficient
+    # Picard step; later ones run plain Newton (with the negation left on,
+    # rounding noise would let 2^-30 steps through once the residual is small)
+    assemble = solver._assemble
+    negated = []
+
+    def negated_newton(patch, include_gradient_terms):
+        A = assemble(patch, include_gradient_terms)
+        if include_gradient_terms and len(negated) < 2:
+            negated.append(A.shape)
+            return -A
+        return A
+
+    specs = []
+    splu = spla.splu
+
+    def recording_splu(A, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solver, "_assemble", negated_newton)
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    slag = model_slag_exp()
+    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
+    exact = patch.values.copy()
+    patch.values[1:-1, 1:-1] = 0.0
+    report = solver.solve(patch)
+    assert report.converged
+    assert report.damping_history[:2] == [-1.0, -1.0]
+    assert all(step == 1.0 for step in report.damping_history[2:])
+    residuals = [entry["residual"] for entry in report.iteration_log]
+    assert residuals == sorted(residuals, reverse=True)
+    # the initial guess, then a Newton and a Picard factor per fallback step
+    assert len(specs) == 1 + 2 * 2 + (report.iterations - 2)
+    assert set(specs) == {"NATURAL"}
+    assert np.max(np.abs(patch.values - exact)) < 1e-3
