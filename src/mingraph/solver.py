@@ -311,9 +311,9 @@ class SolveReport:
     """Outcome of ``solve``.
 
     ``iteration_log`` holds one dict per Newton iteration: residual, step,
-    seconds of assembly, factorization and triangular solve, and the
-    factor's nonzeros.  It is left out of ``to_dict`` because its timings
-    differ from run to run.
+    seconds of assembly, factorization and triangular solve, and factor
+    nonzeros, summed over the Newton and Picard systems on a Picard step.
+    It is left out of ``to_dict`` because its timings vary between runs.
     """
 
     iterations: int
@@ -481,9 +481,7 @@ def solve(
             # Picard fallback: freeze coefficients, drop the gradient terms
             patch.values[inner] = base
             delta, picard = linear_step(include_gradient_terms=False)
-            for key in ("assemble_s", "factor_s", "solve_s"):
-                stats[key] += picard[key]
-            stats["factor_nnz"] = picard["factor_nnz"]
+            stats = {key: stats[key] + picard[key] for key in stats}
             patch.values[inner] = base + delta
             trial = resid()
             trial_norm = float(np.max(np.abs(trial)))
