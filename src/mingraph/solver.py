@@ -447,7 +447,7 @@ def solve(
     def resid():
         return strong_residual_field(patch)
 
-    def linear_step(include_gradient_terms):
+    def linear_step(R, include_gradient_terms):
         start = time.perf_counter()
         A = _assemble(patch, include_gradient_terms)
         assembled = time.perf_counter() - start
@@ -465,7 +465,7 @@ def solve(
     it = 0
     while res_norm > tol and it < max_iter:
         it += 1
-        delta, stats = linear_step(include_gradient_terms=True)
+        delta, stats = linear_step(R, include_gradient_terms=True)
         step = 1.0
         base = patch.values[inner].copy()
         accepted = False
@@ -480,7 +480,7 @@ def solve(
         if not accepted:
             # Picard fallback: freeze coefficients, drop the gradient terms
             patch.values[inner] = base
-            delta, picard = linear_step(include_gradient_terms=False)
+            delta, picard = linear_step(R, include_gradient_terms=False)
             stats = {key: stats[key] + picard[key] for key in stats}
             patch.values[inner] = base + delta
             trial = resid()
