@@ -1,11 +1,10 @@
 """Brute-force verification of the algebraic inequalities behind the theory.
 
 Grid scans for the cubic inequality phi(mu1, mu2, mu3) >= 0 under the
-pairwise-product constraint and its Lambda-quantified variant, the 3x3
-Hessian determinant in closed form, the right-hand side of the
-Delta log v identity together with its three-way regrouping, and seeded
-random samplers for the two pointwise differential inequalities and the
-xi_11 concentration estimate.
+pairwise-product constraint and its Lambda-quantified variant, the
+right-hand side of the Delta log v identity together with its three-way
+regrouping, and seeded random samplers for the two pointwise differential
+inequalities and the xi_11 concentration estimate.
 
 All scans and samplers take explicit seeds and produce identical reports for
 identical inputs, independent of the thread count.
@@ -74,23 +73,6 @@ class ScanReport:
 def phi(mu1: float, mu2: float, mu3: float) -> float:
     """phi = 4 + mu1 mu2 mu3 - mu1 mu2 - mu1 mu3 - mu2 mu3."""
     return 4.0 + mu1 * mu2 * mu3 - mu1 * mu2 - mu1 * mu3 - mu2 * mu3
-
-
-def hessf_matrix(li: float, lj: float, lk: float) -> np.ndarray:
-    """The 3x3 quadratic-form matrix with diagonal 2 and off-diagonal products."""
-    return np.array(
-        [
-            [2.0, li * lj, li * lk],
-            [li * lj, 2.0, lj * lk],
-            [li * lk, lj * lk, 2.0],
-        ]
-    )
-
-
-def hessf_det(li: float, lj: float, lk: float) -> float:
-    """det of :func:`hessf_matrix` in closed form."""
-    a, b, c = li * li, lj * lj, lk * lk
-    return 8.0 + 2.0 * a * b * c - 2.0 * a * b - 2.0 * a * c - 2.0 * b * c
 
 
 def _pairwise_limit(mu_max_entry, tol=CONSTRAINT_SLACK):
@@ -464,20 +446,26 @@ def xi11(a: np.ndarray) -> np.ndarray:
     return float(out[0]) if single else out
 
 
+def _dilation_and_detb(a: np.ndarray):
+    """lam_1 lam_2 = |det a| and det(I + a^T a) = 1 + |a|_F^2 + (det a)^2 (2 x 2)."""
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    return np.abs(det), 1.0 + (a * a).sum(axis=(1, 2)) + det * det
+
+
 def xi11_sampler(
     lam_bound: float,
     eps: float,
     samples: int,
     seed: int,
-    n: int = 2,
-    m: int = 2,
     threads: int = 1,
 ) -> ScanReport:
     """Sampling experiment for the near-diagonal xi_11 concentration estimate.
 
-    Samples m x n matrices ``a`` with lam_1 lam_2 <= Lambda and
+    Samples 2 x 2 matrices ``a`` with lam_1 lam_2 <= Lambda and
     a_11 >= (1 - eps) sqrt(det b) by rejection around the feasible corner
     (a_11 large, everything else O(sqrt(eps))), and reports max |xi_11|.
+    The acceptance test uses the 2 x 2 closed forms lam_1 lam_2 = |det a| and
+    det b = (1 + lam_1^2)(1 + lam_2^2) = 1 + |a|_F^2 + (det a)^2.
     The estimate itself is asymptotic in eps; the testable contract is that
     the reported max is non-increasing as eps decreases.
     """
@@ -498,14 +486,11 @@ def xi11_sampler(
             batch = 4 * (need - have)
             a11 = a_min + (a_max - a_min) * rng.uniform(0.0, 1.0, size=batch)
             delta = 0.5 * np.minimum(np.sqrt(eps), lam_bound / a11)
-            a = rng.uniform(-1.0, 1.0, size=(batch, m, n)) * delta[:, None, None]
+            a = rng.uniform(-1.0, 1.0, size=(batch, 2, 2)) * delta[:, None, None]
             a[:, 0, 0] = a11
             draws += batch
-            sv = np.linalg.svd(a, compute_uv=False)
-            lam1 = sv[:, 0]
-            lam2 = sv[:, 1] if sv.shape[1] > 1 else np.zeros(batch)
-            detb = np.exp(np.sum(np.log1p(sv**2), axis=1))
-            ok = (lam1 * lam2 <= lam_bound) & (a11 >= (1.0 - eps) * np.sqrt(detb))
+            lam12, detb = _dilation_and_detb(a)
+            ok = (lam12 <= lam_bound) & (a11 >= (1.0 - eps) * np.sqrt(detb))
             if draws > max(1e6, need / 1e-6) and have == 0:
                 raise SamplingFailureError("xi_11 sampler acceptance below 1e-6")
             a = a[ok][: need - have]
@@ -523,7 +508,7 @@ def xi11_sampler(
     best = max(results, key=lambda t: t[0])
     return ScanReport(
         check="xi11-limit",
-        params={"Lambda": lam_bound, "eps": eps, "n": n, "m": m},
+        params={"Lambda": lam_bound, "eps": eps, "n": 2, "m": 2},
         samples=samples,
         min_value=best[0],
         argmin=best[1],

@@ -431,11 +431,12 @@ def solve(
     """Damped-Newton solve of the discrete minimal surface system in place.
 
     Boundary values are kept fixed; interior values are updated until the
-    strong residual sup-norm drops below ``tol``.  If a full Newton step
-    increases the residual it is halved up to 30 times, then a
-    frozen-coefficient Picard step is tried.  Divergence (residual above 10x
-    the best for 20 consecutive iterations) aborts with the best iterate
-    restored.
+    strong residual sup-norm drops below ``tol``.  A Newton step of length t
+    is accepted when it lowers the residual by the factor 1 - 1e-4 t; from
+    t = 1 it is halved down to 2^-10, above the residual's rounding noise,
+    and then a frozen-coefficient Picard step is tried.  Divergence
+    (residual above 10x the best for 20 consecutive iterations) aborts with
+    the best iterate restored.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -469,11 +470,11 @@ def solve(
         step = 1.0
         base = patch.values[inner].copy()
         accepted = False
-        for _ in range(31):
+        for _ in range(11):
             patch.values[inner] = base + step * delta
             trial = resid()
             trial_norm = float(np.max(np.abs(trial)))
-            if trial_norm < res_norm:
+            if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
                 accepted = True
                 break
             step *= 0.5

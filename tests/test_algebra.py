@@ -34,14 +34,6 @@ def test_phi_symmetric(a, b, c):
     assert max(vals) - min(vals) < 1e-12 * (1.0 + abs(algebra.phi(a, b, c)))
 
 
-def test_hessf_det_matches_matrix():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        li, lj, lk = rng.uniform(0.0, 3.0, 3)
-        direct = np.linalg.det(algebra.hessf_matrix(li, lj, lk))
-        assert algebra.hessf_det(li, lj, lk) == pytest.approx(direct, rel=1e-10)
-
-
 def test_scan_mu123_clean():
     rep = algebra.scan_mu123(0.1)
     assert rep.ok
@@ -119,6 +111,22 @@ def test_scan_reports_pinned(name):
     assert scan().to_json() == json.dumps(expected, sort_keys=True, indent=2)
 
 
+# An xi_11 sampler report, pinned byte for byte from the SVD-based acceptance
+# test that the closed forms replaced: the accepted set must not move.
+_PINNED_XI11 = {
+    "argmin": [11.975070407928055, -0.0260118254513506, 0.04126594526362244,
+               -0.0415289120045108],
+    "check": "xi11-limit", "max_value": 0.9973821670642118,
+    "min_value": 0.9973821670642118, "notes": {},
+    "params": {"Lambda": 1.0, "eps": 0.1, "m": 2, "n": 2},
+    "samples": 2000, "seed": 3, "violations": 0}
+
+
+def test_xi11_sampler_report_pinned():
+    rep = algebra.xi11_sampler(1.0, 0.1, 2000, seed=3)
+    assert rep.to_json() == json.dumps(_PINNED_XI11, sort_keys=True, indent=2)
+
+
 def test_delta_logv_rhs_zero_spectrum_is_b_norm():
     rng = np.random.default_rng(1)
     h = algebra._sample_h(rng, 5, 3, 3)
@@ -177,10 +185,14 @@ def test_lambda_inequality_clean():
     assert rep.min_value >= -algebra.NONNEG_TOL
 
 
-def test_sampler_reports_deterministic_across_threads():
-    a = algebra.check_sqrt2_inequality(40000, seed=5, threads=1)
-    b = algebra.check_sqrt2_inequality(40000, seed=5, threads=8)
-    assert a.to_json() == b.to_json()
+@pytest.mark.parametrize("sampler", [
+    lambda threads: algebra.check_sqrt2_inequality(40000, seed=5, threads=threads),
+    lambda threads: algebra.check_lambda_inequality(1.0, 40000, seed=5,
+                                                    threads=threads),
+    lambda threads: algebra.xi11_sampler(1.0, 0.1, 40000, seed=5, threads=threads),
+], ids=["sqrt2", "lambda", "xi11"])
+def test_sampler_reports_deterministic_across_threads(sampler):
+    assert sampler(1).to_json() == sampler(8).to_json()
 
 
 def test_xi11_diagonal_closed_form():
@@ -190,6 +202,30 @@ def test_xi11_diagonal_closed_form():
         a = np.diag([t, s])
         expect = math.sqrt((1 + t * t) * (1 + s * s)) * t / (1 + t * t)
         assert algebra.xi11(a) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.03, 1e-4])
+def test_xi11_closed_forms_match_svd(eps):
+    # draws from the sampler's distribution: a_11 in [a_min, a_max] and
+    # off-diagonal entries O(sqrt(eps)); the last 1000 are near rank 1
+    rng = np.random.default_rng(11)
+    a_min = (1.0 - eps) / math.sqrt(1.0 - (1.0 - eps) ** 2)
+    a11 = rng.uniform(a_min, max(3.0 * a_min, 12.0), 3000)
+    delta = 0.5 * np.minimum(math.sqrt(eps), 1.0 / a11)
+    a = rng.uniform(-1.0, 1.0, (3000, 2, 2)) * delta[:, None, None]
+    a[:, 0, 0] = a11
+    a[2000:, 1, 1] = a[2000:, 0, 1] * a[2000:, 1, 0] / a11[2000:] * (
+        1.0 + 1e-6 * rng.uniform(-1.0, 1.0, 1000))
+    dilation, detb = algebra._dilation_and_detb(a)
+    sv = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(detb, np.prod(1.0 + sv**2, axis=1), rtol=1e-12)
+    lam12 = sv[:, 0] * sv[:, 1]
+    np.testing.assert_allclose(dilation[:2000], lam12[:2000], rtol=1e-12)
+    # near rank 1 the SVD's lam_2 is only accurate to about 1e-16 lam_1, so
+    # its product is checked on the lam_1^2 scale; lam_1 lam_2 <= Lambda = 1
+    # is decided far from there
+    assert np.all(np.abs(dilation[2000:] - lam12[2000:]) <= 1e-12 * sv[2000:, 0] ** 2)
+    assert np.max(lam12[2000:]) < 1e-3
 
 
 def test_xi11_sampler_trend():

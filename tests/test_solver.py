@@ -310,8 +310,7 @@ def test_ordered_solve_matches_colamd_reference():
 def test_picard_fallback_converges_through_the_ordered_factor(monkeypatch):
     # a negated Newton matrix turns every damped Newton step into an ascent
     # step, so the first two iterations fall back to the frozen-coefficient
-    # Picard step; later ones run plain Newton (with the negation left on,
-    # rounding noise would let 2^-30 steps through once the residual is small)
+    # Picard step; later ones run plain Newton
     assemble = solver._assemble
     negated = []
 
@@ -344,4 +343,25 @@ def test_picard_fallback_converges_through_the_ordered_factor(monkeypatch):
     # the initial guess, then a Newton and a Picard factor per fallback step
     assert len(specs) == 1 + 2 * 2 + (report.iterations - 2)
     assert set(specs) == {"NATURAL"}
+    assert np.max(np.abs(patch.values - exact)) < 1e-3
+
+
+def test_ascent_directions_reach_picard_every_iteration(monkeypatch):
+    # with the Newton matrix negated on every iteration no Newton step may
+    # pass the sufficient-decrease test, however small the residual: each
+    # iteration must end in the Picard fallback, which converges on its own
+    assemble = solver._assemble
+
+    def negated_newton(patch, include_gradient_terms):
+        A = assemble(patch, include_gradient_terms)
+        return -A if include_gradient_terms else A
+
+    monkeypatch.setattr(solver, "_assemble", negated_newton)
+    slag = model_slag_exp()
+    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
+    exact = patch.values.copy()
+    patch.values[1:-1, 1:-1] = 0.0
+    report = solver.solve(patch)
+    assert report.converged
+    assert report.damping_history == [-1.0] * report.iterations
     assert np.max(np.abs(patch.values - exact)) < 1e-3
