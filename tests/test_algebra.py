@@ -111,8 +111,8 @@ def test_scan_reports_pinned(name):
     assert scan().to_json() == json.dumps(expected, sort_keys=True, indent=2)
 
 
-# An xi_11 sampler report, pinned byte for byte from the SVD-based acceptance
-# test that the closed forms replaced: the accepted set must not move.
+# An xi_11 sampler report pinned byte for byte: an acceptance test that moves
+# the accepted set by one draw changes it.
 _PINNED_XI11 = {
     "argmin": [11.975070407928055, -0.0260118254513506, 0.04126594526362244,
                -0.0415289120045108],
