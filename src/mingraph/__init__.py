@@ -23,7 +23,6 @@ from mingraph.models import (
     AnalyticModel,
     get_model,
     model_affine,
-    model_graph_plane_basis,
     model_lawson_osserman,
     model_slag_exp,
 )
@@ -41,19 +40,15 @@ from mingraph.solver import (
     residual_strong,
     save_patch,
     solve,
-    weak_harmonicity_defect,
 )
 from mingraph.diagnostics import (
     curvature_integral,
-    deltav_inverse,
     logv_identity,
-    sff_at,
     sff_norm2,
 )
 from mingraph.measure import (
     density_profile,
     graph_volume,
-    volume_growth_bound_check,
 )
 
 __all__ = [
@@ -65,7 +60,6 @@ __all__ = [
     "check_sqrt2_inequality",
     "curvature_integral",
     "delta_logv_rhs",
-    "deltav_inverse",
     "density_profile",
     "get_model",
     "graph_volume",
@@ -76,17 +70,13 @@ __all__ = [
     "save_patch",
     "scan_mu123",
     "scan_mu123_lambda",
-    "sff_at",
     "sff_norm2",
     "solve",
-    "volume_growth_bound_check",
-    "weak_harmonicity_defect",
     "graph_plane_basis",
     "grassmann_distance",
     "induced_metric",
     "jordan_angles",
     "model_affine",
-    "model_graph_plane_basis",
     "model_lawson_osserman",
     "model_slag_exp",
     "plane_inner",

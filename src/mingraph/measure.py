@@ -1,4 +1,4 @@
-"""Graph-volume quadrature, density ratios, and blow-down rescaling.
+"""Graph-volume quadrature and density ratios.
 
 The n-volume of a graph piece inside an ambient ball is the integral of the
 slope v over the base region where (x, u(x)) lies in the ball.  Since the
@@ -9,24 +9,16 @@ the error estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from mingraph.grassmann import induced_metric
 from mingraph.models import AnalyticModel
-from mingraph.util import _ball_midpoint_sum, grid_points, unit_ball_volume
+from mingraph.util import _ball_midpoint_sum, unit_ball_volume
 
 VERTEX_CUTOFF_FRAC = 1e-3
 _CHUNK = 200000
-
-
-class PredicateViolationError(ValueError):
-    """A pointwise hypothesis fails; carries a witness point."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = None if witness is None else np.asarray(witness, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -163,93 +155,3 @@ def density_profile(
         ratios=np.array(ratios),
         est_errors=np.array(errors),
     )
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    """Empirical volume-growth constant under a 2-dilation bound."""
-
-    ok: bool
-    constant: float
-    ratios: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "constant": self.constant,
-            "ratios": [float(r) for r in self.ratios],
-        }
-
-
-def volume_growth_bound_check(
-    model: AnalyticModel,
-    lam_bound: float,
-    radii,
-    resolution: int = 64,
-    threads: int = 1,
-) -> GrowthCheck:
-    """Check Euclidean-type volume growth under a 2-dilation bound.
-
-    First verifies two_dilation <= lam_bound on a grid sample of the largest
-    integration box (raising PredicateViolationError with a witness point
-    when it fails, the expected outcome for graphs of unbounded dilation),
-    then reports sup over radii of volume / (omega_n rho^n sqrt(m)).  The
-    check passes when that stays essentially level (last/first <= 1.5).
-    """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("need positive radii")
-    n = model.n
-    rmax = float(radii[-1])
-    pts = grid_points([np.linspace(-rmax, rmax, 17)] * n)
-    pts = pts[np.asarray(model.in_domain(pts))]
-    J = model.jacobian(pts)
-    s = np.linalg.svd(J, compute_uv=False)
-    dil = s[:, 0] * s[:, 1] if s.shape[1] >= 2 else np.zeros(s.shape[0])
-    bad = dil > lam_bound + 1e-12
-    if np.any(bad):
-        w = pts[np.argmax(dil)]
-        raise PredicateViolationError(
-            f"2-dilation {np.max(dil):.6g} exceeds {lam_bound:.6g} at {w.tolist()}",
-            witness=w,
-        )
-    center = np.zeros(n + model.m)
-    if bool(np.asarray(model.in_domain(center[:n]))):
-        center = model.graph_point(center[:n])
-    wn = unit_ball_volume(n)
-    ratios = np.array(
-        [
-            graph_volume(model, center, float(r), resolution, threads).value
-            / (wn * r**n * np.sqrt(model.m))
-            for r in radii
-        ]
-    )
-    ok = bool(np.all(np.isfinite(ratios)) and ratios[-1] <= 1.5 * ratios[0])
-    return GrowthCheck(ok=ok, constant=float(np.max(ratios)), ratios=ratios)
-
-
-def blow_down(model: AnalyticModel, scale: float) -> AnalyticModel:
-    """The rescaled graph x -> u(r x) / r; identity for 1-homogeneous models."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    r = float(scale)
-    return AnalyticModel(
-        label=f"{model.label}/blowdown:{r!r}",
-        n=model.n,
-        m=model.m,
-        value=lambda x: model.value(np.asarray(x, dtype=float) * r) / r,
-        jacobian=lambda x: model.jacobian(np.asarray(x, dtype=float) * r),
-        hessian=lambda x: model.hessian(np.asarray(x, dtype=float) * r) * r,
-        in_domain=lambda x: model.in_domain(np.asarray(x, dtype=float) * r),
-    )
-
-
-def max_slope_on_box(model: AnalyticModel, half_width: float, nodes: int = 33) -> float:
-    """Max slope v on a grid over [-half_width, half_width]^n (domain points).
-
-    A divergent value along a sequence of blow-downs is the quasi-cylindrical
-    indicator: the rescaled graphs become vertical somewhere.
-    """
-    pts = grid_points([np.linspace(-half_width, half_width, nodes)] * model.n)
-    _, log_v = induced_metric(model.jacobian(pts[np.asarray(model.in_domain(pts))]))
-    return float(np.exp(np.max(log_v)))

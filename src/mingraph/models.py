@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from mingraph.grassmann import PlaneBasis, graph_plane_basis
-
 
 class DomainError(ValueError):
     """Point outside the model's domain (e.g. the vertex of a cone)."""
@@ -172,14 +170,6 @@ def model_lawson_osserman() -> AnalyticModel:
         return np.sum(x**2, axis=-1) > 0.0
 
     return AnalyticModel("lawson-osserman", 4, 3, value, jacobian, hessian, in_domain)
-
-
-def model_graph_plane_basis(model: AnalyticModel, x) -> PlaneBasis:
-    """Oriented orthonormal basis of the graph tangent plane at (x, u(x))."""
-    x = model.check_domain(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError("expected a single point")
-    return graph_plane_basis(model.jacobian(x))
 
 
 _REGISTRY: dict[str, Callable[..., AnalyticModel]] = {

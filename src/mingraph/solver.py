@@ -4,9 +4,8 @@ Uniform grids over a box in R^n (n = 2 or 3) carrying m-vector node values
 with Dirichlet boundary data on the outermost node layer.  The strong form
 sum_{ij} g^{ij} d^2 u^alpha / dx_i dx_j = 0 is discretized with second-order
 central differences and solved by damped Newton with a frozen-coefficient
-Picard fallback; the divergence form and the weak formulation are evaluated
-as independent residual diagnostics.  Every linear solve factors its matrix
-in one geometric nested-dissection order of the interior grid.
+Picard fallback.  Every linear solve factors its matrix in one geometric
+nested-dissection order of the interior grid.
 """
 
 from __future__ import annotations
@@ -240,70 +239,6 @@ def strong_residual_field(patch: GraphPatch) -> np.ndarray:
     """Discrete strong residual at all interior nodes, shape inner-dims + (m,)."""
     Du, H = _interior_derivatives(patch)
     return residual_strong(Du, H)
-
-
-def _flux_field(patch: GraphPatch):
-    """F[..., alpha, i] = v g^{ij} d_j u^alpha at interior nodes, plus v."""
-    Du, _ = _interior_derivatives(patch)
-    g, log_v = induced_metric(Du)
-    v = np.exp(log_v)
-    F = v[..., None, None] * np.einsum("...ij,...aj->...ai", np.linalg.inv(g), Du)
-    return F, v
-
-
-def divergence_residual_field(patch: GraphPatch) -> np.ndarray:
-    """Divergence-form residual (1/v) sum_i d_i (v g^{ij} d_j u^alpha).
-
-    Second-order central differences on the deep interior (2:-2), where the
-    stencil of every node stays inside the interior flux field.
-    """
-    F, v = _flux_field(patch)
-    n = patch.n
-    out = 0.0
-    for k, ek in enumerate(np.eye(n, dtype=int)):
-        out = out + (_shift(F, ek)[..., k] - _shift(F, -ek)[..., k]) / (
-            2 * patch.spacing
-        )
-    return out / _shift(v, [0] * n)[..., None]
-
-
-def weak_harmonicity_defect(patch: GraphPatch, alpha: int) -> float:
-    """Max weak-form defect of u^alpha over interior multilinear hat functions.
-
-    For each interior node p, integrates sum_{ij} v g^{ij} d_i u^alpha
-    d_j phi_p by the midpoint rule per cell (multilinear interpolant
-    gradients at cell centers), normalized by the total integral of v.
-    """
-    n = patch.n
-    h = patch.spacing
-    corners = [tuple(int(b) for b in np.binary_repr(c, n)) for c in range(2**n)]
-    signs = [[1.0 if ck else -1.0 for ck in c] for c in corners]
-
-    def corner(arr, c):
-        # node array: corner c of every cell; cell array: of every interior node
-        return arr[tuple(slice(1, None) if ck else slice(None, -1) for ck in c)]
-
-    # cell-center gradient of the multilinear interpolant of the nodal values
-    DU = np.stack([
-        sum(sg[k] * corner(patch.values, c) / (2 ** (n - 1) * h)
-            for c, sg in zip(corners, signs))
-        for k in range(n)
-    ], axis=-1)  # (cells..., m, n)
-    g, log_v = induced_metric(DU)
-    v = np.exp(log_v)
-    flux = np.einsum("...,...ij,...j->...i", v, np.linalg.inv(g), DU[..., alpha, :])
-    total_v = float(np.sum(v)) * h**n
-
-    # hat at node p: nonzero on the 2^n adjacent cells; its multilinear
-    # gradient at each adjacent cell center has magnitude 1/(2h) * 2^{1-n}
-    # per axis, pointing toward p
-    grad_mag = 1.0 / (2 ** (n - 1) * h)
-    s = 0.0
-    for c, sg in zip(corners, signs):
-        fc = corner(flux, c)
-        for k in range(n):
-            s = s + fc[..., k] * sg[k] * grad_mag
-    return float(np.max(np.abs(s * h**n))) / total_v
 
 
 @dataclass

@@ -1,12 +1,56 @@
 """Unit tests for curvature diagnostics and the log v identity machinery."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mingraph
 from mingraph import diagnostics as dg
-from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
+from mingraph.algebra import SQRT2, lambda_lower_bound
+from mingraph.grassmann import induced_metric
+from mingraph.models import (
+    DomainError,
+    model_affine,
+    model_lawson_osserman,
+    model_slag_exp,
+)
+
+
+def tangent_projector(jacobian) -> np.ndarray:
+    """Orthogonal projector of R^{n+m} onto the graph tangent plane."""
+    J = np.asarray(jacobian, dtype=float)
+    m, n = J.shape[-2:]
+    eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
+    T = np.concatenate([eye, J], axis=-2)
+    g, _ = induced_metric(J)
+    return np.einsum("...pi,...ij,...qj->...pq", T, np.linalg.inv(g), T)
+
+
+def sff_norm2_projector(jacobian, hessian) -> float:
+    """|B|^2 from derivatives of the tangent projector (independent route).
+
+    |B|^2 = (1/2) sum_{kl} g^{kl} tr(d_k P d_l P), with d_k P assembled
+    exactly from the Hessian.
+    """
+    J = np.asarray(jacobian, dtype=float)
+    H = np.asarray(hessian, dtype=float)
+    m, n = J.shape
+    ginv = np.linalg.inv(induced_metric(J)[0])
+    T = np.vstack([np.eye(n), J])
+    Tg = T @ ginv
+    dgk = np.einsum("aki,aj->kij", H, J) + np.einsum("ai,akj->kij", J, H)
+    dT = np.concatenate([np.zeros((n, n, n)), H.transpose(1, 0, 2)], axis=1)
+    # d_k P = dT_k g^{-1} T^t + T g^{-1} dT_k^t - T g^{-1} dg_k g^{-1} T^t
+    dP = (
+        np.einsum("kpi,qi->kpq", dT @ ginv, T)
+        + np.einsum("pi,kqi->kpq", Tg, dT)
+        - np.einsum("pi,kij,qj->kpq", Tg, dgk, Tg)
+    )
+    return 0.5 * float(np.einsum("kl,kpq,lpq->", ginv, dP, dP))
 
 
 def gauss_map_norm2_fd(model, x, step=1e-5):
@@ -20,24 +64,14 @@ def gauss_map_norm2_fd(model, x, step=1e-5):
         e[k] = step
         dP.append(
             (
-                dg.tangent_projector(model.jacobian(x + e))
-                - dg.tangent_projector(model.jacobian(x - e))
+                tangent_projector(model.jacobian(x + e))
+                - tangent_projector(model.jacobian(x - e))
             )
             / (2 * step)
         )
     return 0.5 * sum(
         ginv[k, l] * np.sum(dP[k] * dP[l]) for k in range(n) for l in range(n)
     )
-
-
-def test_sff_frames_orthonormal():
-    rng = np.random.default_rng(0)
-    for model, scale in [(model_slag_exp(), 1.5), (model_lawson_osserman(), 1.0)]:
-        for _ in range(5):
-            x = rng.uniform(0.3, scale, model.n)
-            t = dg.sff_at(model, x)
-            F = np.vstack([t.tangent, t.normal])
-            assert np.max(np.abs(F @ F.T - np.eye(model.n + model.m))) < 1e-12
 
 
 def test_sff_components_symmetric():
@@ -52,7 +86,7 @@ def test_sff_norm2_matches_projector_route():
         for _ in range(10):
             x = rng.uniform(0.3, 1.5, model.n)
             a = dg.sff_norm2(model.jacobian(x), model.hessian(x))
-            b = dg.sff_norm2_projector(model.jacobian(x), model.hessian(x))
+            b = sff_norm2_projector(model.jacobian(x), model.hessian(x))
             assert b == pytest.approx(a, rel=1e-10)
 
 
@@ -141,7 +175,10 @@ def test_grad_logv_tangential_vs_euclidean():
         H = model.hessian(x)
         grad = dg.grad_logv(J, H)
         ginv = np.linalg.inv(np.eye(2) + J.T @ J)
-        assert dg.grad_logv_tangential_norm2(J, H) == pytest.approx(
+        # at Lambda = sqrt(2) the |B|^2 term of the bound is exactly 0, which
+        # leaves (1/n) sum_j (sum_i lam_i h_{i,ij})^2 = (1/n) |grad_M log v|^2
+        h, lam = dg._sff(J, H)
+        assert model.n * lambda_lower_bound(lam, h, SQRT2) == pytest.approx(
             float(grad @ ginv @ grad), rel=1e-9, abs=1e-12
         )
 
@@ -176,21 +213,26 @@ def test_logv_identity_batch_matches_single_points(model):
         assert np.array_equal(batch.spectrum[k], one.spectrum)
 
 
+def test_lambda_bound_has_one_home():
+    # (1 - Lambda/sqrt(2)) |B|^2 + (1/n) |grad_M log v|^2, the bound behind
+    # margin_lambda, is formed only in algebra.lambda_lower_bound
+    own = inspect.getsource(lambda_lower_bound)
+    inline = re.compile(r"/\s*(SQRT2|np\.sqrt\(2|math\.sqrt\(2)")
+    found = []
+    for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "algebra.py":
+            assert own in text
+            text = text.replace(own, "")
+        found += [f"{path.name}: {m.group(0)}" for m in inline.finditer(text)]
+    assert found == []
+
+
 def test_steep_plane_curvature_is_zero():
     # det g overflows on this plane; the exact values are 0
     model = model_affine(1e100 * np.eye(2))
     assert dg.curvature_integral(model, 1.0, 8) == 0.0
     assert dg.laplace_logv_fd(model, np.array([0.3, 0.2]), 1e-3) == 0.0
-
-
-def test_laplace_inv_slope_formula_vs_fd():
-    for model, x in [
-        (model_slag_exp(), np.array([0.2, 0.5])),
-        (model_lawson_osserman(), np.array([1.0, 0.3, -0.5, 0.7])),
-    ]:
-        f = dg.laplace_inv_slope_formula(model.jacobian(x), model.hessian(x))
-        fd = dg.laplace_inv_slope_fd(model, x, 1e-4)
-        assert fd == pytest.approx(f, abs=1e-7)
 
 
 def test_curvature_integral_cone_scaling():
@@ -214,7 +256,7 @@ def test_curvature_integral_runs_without_svd(monkeypatch):
     assert dg.curvature_integral(model_lawson_osserman(), 1.0, 8) > 0.0
 
 
-def test_sff_tensor_runs_one_svd(monkeypatch):
+def test_logv_identity_runs_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -224,8 +266,8 @@ def test_sff_tensor_runs_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     model = model_lawson_osserman()
-    x = np.array([0.8, 0.1, -0.3, 0.5])
-    dg.sff_tensor(model.jacobian(x), model.hessian(x))
+    x = np.random.default_rng(5).uniform(0.3, 1.5, (20, 4))
+    dg.logv_identity(model, x, 1e-3)
     assert len(calls) == 1
 
 
@@ -249,13 +291,14 @@ def test_write_diagnostics_csv(tmp_path):
     assert len(first) == 9 and first[2] >= 1.0
 
 
-def test_sff_at_model_entry_point():
+def test_logv_identity_rejects_the_cone_vertex():
     model = model_lawson_osserman()
-    t = dg.sff_at(model, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert t.h.shape == (3, 4, 4)
-    assert t.norm2 > 0.0
-    with pytest.raises(Exception):
-        dg.sff_at(model, np.zeros(4))
+    rep = dg.logv_identity(model, np.array([1.0, 0.0, 0.0, 0.0]), 1e-3)
+    assert rep.b_norm2 > 0.0
+    with pytest.raises(DomainError):
+        dg.logv_identity(model, np.zeros(4), 1e-3)
+    with pytest.raises(DomainError):
+        dg.logv_identity(model, np.array([[1.0, 0.0, 0.0, 0.0], [0.0] * 4]), 1e-3)
 
 
 def test_sff_parabola_hand_value():
@@ -263,24 +306,10 @@ def test_sff_parabola_hand_value():
     J = np.zeros((1, 2))
     H = np.zeros((1, 2, 2))
     H[0, 0, 0] = 2.0
-    t = dg.sff_tensor(J, H)
-    assert abs(t.h).max() == pytest.approx(2.0)
-    assert t.norm2 == pytest.approx(4.0)
-
-
-def test_deltav_inverse_hand_value():
-    # lam = 0, single normal, only h_{1,11} = 1: Delta v^{-1} = -1
-    J = np.zeros((1, 2))
-    H = np.zeros((1, 2, 2))
-    H[0, 0, 0] = 1.0
-    assert dg.laplace_inv_slope_formula(J, H) == pytest.approx(-1.0)
-
-
-def test_deltav_inverse_model_entry_point():
-    model = model_slag_exp()
-    x = np.array([0.2, 0.5])
-    val = dg.deltav_inverse(model, x)
-    assert val == pytest.approx(dg.laplace_inv_slope_fd(model, x, 1e-4), abs=1e-7)
+    h = dg.sff_components(J, H)
+    assert h.shape == (1, 2, 2)
+    assert abs(h).max() == pytest.approx(2.0)
+    assert np.sum(h**2) == pytest.approx(4.0)
 
 
 def test_curvature_integral_affine_zero():

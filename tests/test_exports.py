@@ -1,0 +1,42 @@
+"""The package's public surface: every export resolves, removed names stay gone."""
+
+import importlib
+import pkgutil
+
+import mingraph
+
+# Definitions deleted or moved into the tests as reference oracles.  None of
+# them may come back as a public or private name of the package.
+REMOVED = {
+    # diagnostics
+    "SffTensor", "sff_at", "sff_tensor", "_adapted_svd", "_contract",
+    "laplace_inv_slope_formula", "laplace_inv_slope_fd", "deltav_inverse",
+    "intrinsic_laplacian_fd", "grad_logv_tangential_norm2",
+    "_tangential_grad2", "_pad_normals", "tangent_projector",
+    "sff_norm2_projector",
+    # measure
+    "volume_growth_bound_check", "GrowthCheck", "PredicateViolationError",
+    "blow_down", "max_slope_on_box",
+    # models
+    "model_graph_plane_basis",
+    # solver
+    "weak_harmonicity_defect", "divergence_residual_field", "_flux_field",
+}
+
+
+def package_modules():
+    return [mingraph] + [importlib.import_module(f"mingraph.{info.name}")
+                         for info in pkgutil.iter_modules(mingraph.__path__)]
+
+
+def test_every_export_resolves():
+    assert len(set(mingraph.__all__)) == len(mingraph.__all__)
+    missing = [name for name in mingraph.__all__ if not hasattr(mingraph, name)]
+    assert missing == []
+
+
+def test_removed_names_stay_removed():
+    found = {module.__name__: sorted(REMOVED & set(vars(module)))
+             for module in package_modules()}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert not REMOVED & set(mingraph.__all__)

@@ -1,4 +1,4 @@
-"""Unit tests for volume quadrature, density profiles, and blow-downs."""
+"""Unit tests for volume quadrature and density profiles."""
 
 import dataclasses
 import math
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from mingraph import diagnostics, measure
+from mingraph.grassmann import induced_metric
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
-from mingraph.util import chunk_ranges, run_chunks, unit_ball_volume
+from mingraph.util import chunk_ranges, grid_points, run_chunks, unit_ball_volume
 
 
 def test_unit_ball_volume_known_values():
@@ -113,57 +114,13 @@ def test_density_profile_rejects_off_graph_center():
         measure.density_profile(model, np.array([0.0, 0.0, 5.0, 0.0]), [1.0, 2.0])
 
 
-def test_growth_check_affine_true():
-    model = model_affine(np.array([[0.3, 0.1], [0.0, 0.2]]))
-    chk = measure.volume_growth_bound_check(model, 1.0, [1.0, 2.0, 4.0], 64)
-    assert chk.ok
-    assert chk.constant > 0.0
-    assert chk.to_dict()["ok"] is True
-
-
-def test_growth_check_cone_true():
-    model = model_lawson_osserman()
-    chk = measure.volume_growth_bound_check(model, 5.0, [1.0, 2.0], 40)
-    assert chk.ok and np.isfinite(chk.constant)
-
-
-def test_growth_check_unbounded_dilation_raises_with_witness():
-    model = model_slag_exp()
-    with pytest.raises(measure.PredicateViolationError) as info:
-        measure.volume_growth_bound_check(model, 2.0, [1.0, 4.0], 40)
-    assert info.value.witness is not None
-    assert info.value.witness.shape == (2,)
-
-
-def test_blow_down_cone_fixed_point():
-    model = model_lawson_osserman()
-    for r in (0.5, 3.0):
-        bd = measure.blow_down(model, r)
-        x = np.array([0.4, -0.2, 0.9, 0.3])
-        assert np.allclose(bd.value(x), model.value(x), atol=1e-12)
-        assert np.allclose(bd.jacobian(x), model.jacobian(x), atol=1e-12)
-
-
-def test_blow_down_affine_offset_shrinks():
-    model = model_affine(np.array([[1.0, 0.0]]), np.array([2.0]))
-    bd = measure.blow_down(model, 10.0)
-    assert bd.value(np.zeros(2))[0] == pytest.approx(0.2)
-
-
-def test_blow_down_exponential_slope_diverges():
-    model = model_slag_exp()
-    slopes = [
-        measure.max_slope_on_box(measure.blow_down(model, r), 2.0) for r in (1, 4, 16)
-    ]
-    assert slopes[0] < slopes[1] < slopes[2]
-    with pytest.raises(ValueError):
-        measure.blow_down(model, 0.0)
-
-
 def test_max_slope_steep_plane_is_finite():
     # det g = (1 + 1e200)^2 overflows; the slope 1 + 1e200 does not
+    # (graph_volume bounds its excised vertex ball with this maximum)
     model = model_affine(1e100 * np.eye(2))
-    assert measure.max_slope_on_box(model, 1.0, 5) == pytest.approx(1e200, rel=1e-12)
+    pts = grid_points([np.linspace(-1.0, 1.0, 5)] * 2)
+    _, log_v = induced_metric(model.jacobian(pts))
+    assert np.exp(np.max(log_v)) == pytest.approx(1e200, rel=1e-12)
 
 
 @pytest.mark.parametrize("model,center,radius,resolution,threads,expected", [

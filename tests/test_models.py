@@ -8,7 +8,6 @@ from mingraph.models import (
     DomainError,
     get_model,
     model_affine,
-    model_graph_plane_basis,
     model_labels,
     model_lawson_osserman,
     model_slag_exp,
@@ -142,12 +141,3 @@ def test_hopf_cone_vertex_rejected():
         model.value(np.zeros(4))
     with pytest.raises(DomainError):
         model.check_domain(np.zeros(4))
-
-
-def test_graph_plane_basis_from_model():
-    model = model_slag_exp()
-    x = np.array([0.2, -0.4])
-    P = model_graph_plane_basis(model, x)
-    assert P.dim == 2 and P.ambient == 4
-    with pytest.raises(ValueError):
-        model_graph_plane_basis(model, np.zeros((3, 2)))

@@ -8,11 +8,75 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mingraph import solver
+from mingraph.grassmann import induced_metric
 from mingraph.models import model_affine, model_slag_exp
 
 
 def make_affine():
     return model_affine(np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([0.3, -0.2]))
+
+
+# Reference residuals of the minimal surface system in divergence and weak
+# form; solve() drives only the strong form to zero.
+
+
+def divergence_residual_field(patch) -> np.ndarray:
+    """Divergence-form residual (1/v) sum_i d_i (v g^{ij} d_j u^alpha).
+
+    Second-order central differences on the deep interior (2:-2), where the
+    stencil of every node stays inside the interior flux field.
+    """
+    Du, _ = solver._interior_derivatives(patch)
+    g, log_v = induced_metric(Du)
+    v = np.exp(log_v)
+    # flux F[..., alpha, i] = v g^{ij} d_j u^alpha at interior nodes
+    F = v[..., None, None] * np.einsum("...ij,...aj->...ai", np.linalg.inv(g), Du)
+    n = patch.n
+    out = 0.0
+    for k, ek in enumerate(np.eye(n, dtype=int)):
+        out = out + (solver._shift(F, ek)[..., k] - solver._shift(F, -ek)[..., k]) / (
+            2 * patch.spacing
+        )
+    return out / solver._shift(v, [0] * n)[..., None]
+
+
+def weak_harmonicity_defect(patch, alpha) -> float:
+    """Max weak-form defect of u^alpha over interior multilinear hat functions.
+
+    For each interior node p, integrates sum_{ij} v g^{ij} d_i u^alpha
+    d_j phi_p by the midpoint rule per cell (multilinear interpolant
+    gradients at cell centers), normalized by the total integral of v.
+    """
+    n = patch.n
+    h = patch.spacing
+    corners = [tuple(int(b) for b in np.binary_repr(c, n)) for c in range(2**n)]
+    signs = [[1.0 if ck else -1.0 for ck in c] for c in corners]
+
+    def corner(arr, c):
+        # node array: corner c of every cell; cell array: of every interior node
+        return arr[tuple(slice(1, None) if ck else slice(None, -1) for ck in c)]
+
+    # cell-center gradient of the multilinear interpolant of the nodal values
+    DU = np.stack([
+        sum(sg[k] * corner(patch.values, c) / (2 ** (n - 1) * h)
+            for c, sg in zip(corners, signs))
+        for k in range(n)
+    ], axis=-1)  # (cells..., m, n)
+    g, log_v = induced_metric(DU)
+    v = np.exp(log_v)
+    flux = np.einsum("...,...ij,...j->...i", v, np.linalg.inv(g), DU[..., alpha, :])
+    total_v = float(np.sum(v)) * h**n
+
+    # hat at node p: nonzero on the 2^n adjacent cells; its multilinear
+    # gradient at each adjacent cell center has magnitude 1/(2h) * 2^{1-n}
+    # per axis, pointing toward p
+    grad_mag = 1.0 / (2 ** (n - 1) * h)
+    s = 0.0
+    for c, sg in zip(corners, signs):
+        fc = corner(flux, c)
+        for k in range(n):
+            s = s + fc[..., k] * sg[k] * grad_mag
+    return float(np.max(np.abs(s * h**n))) / total_v
 
 
 def test_patch_validation():
@@ -70,7 +134,7 @@ def test_interior_derivatives_match_model():
 def test_divergence_residual_needs_deep_interior():
     # defined on nodes 2..6 of a 9 x 9 grid only, and zero for affine data
     patch = solver.GraphPatch.from_model(make_affine(), [0, 0], (9, 9), 0.1)
-    div = solver.divergence_residual_field(patch)
+    div = divergence_residual_field(patch)
     assert div.shape == (5, 5, 2)
     assert np.max(np.abs(div)) < 1e-12
 
@@ -84,7 +148,7 @@ def test_divergence_and_strong_residuals_converge_together():
         patch = solver.GraphPatch.from_model(slag, [0, 0], (nodes, nodes),
                                              1.0 / (nodes - 1))
         strong = solver.strong_residual_field(patch)[1:-1, 1:-1]
-        div = solver.divergence_residual_field(patch)
+        div = divergence_residual_field(patch)
         gaps.append(max(np.max(np.abs(strong)), np.max(np.abs(div))))
     assert math.log2(gaps[0] / gaps[1]) > 1.9
 
@@ -137,10 +201,10 @@ def test_weak_harmonicity_defect_small_on_solution():
     patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
     solver.solve(patch)
     # sampled (unsolved) data has a much larger defect than the solved patch
-    solved = solver.weak_harmonicity_defect(patch, 0)
+    solved = weak_harmonicity_defect(patch, 0)
     rough = patch.values.copy()
     patch.values[1:-1, 1:-1] += 0.01
-    perturbed = solver.weak_harmonicity_defect(patch, 0)
+    perturbed = weak_harmonicity_defect(patch, 0)
     patch.values[:] = rough
     assert solved < 1e-4
     assert perturbed > 10 * solved
@@ -206,8 +270,8 @@ def test_solve_zero_boundary_gives_zero():
 
 def test_weak_defect_zero_for_affine():
     patch = solver.GraphPatch.from_model(make_affine(), [0, 0], (9, 9), 0.1)
-    assert solver.weak_harmonicity_defect(patch, 0) < 1e-12
-    assert solver.weak_harmonicity_defect(patch, 1) < 1e-12
+    assert weak_harmonicity_defect(patch, 0) < 1e-12
+    assert weak_harmonicity_defect(patch, 1) < 1e-12
 
 
 def weak_defect_node_loop(patch, alpha):
@@ -242,7 +306,7 @@ def test_weak_harmonicity_defect_matches_node_loop(dims):
     patch = solver.GraphPatch(len(dims), 2, dims, 0.2, np.zeros(len(dims)),
                               rng.standard_normal(dims + (2,)))
     for alpha in (0, 1):
-        assert solver.weak_harmonicity_defect(patch, alpha) == pytest.approx(
+        assert weak_harmonicity_defect(patch, alpha) == pytest.approx(
             weak_defect_node_loop(patch, alpha), rel=1e-12)
 
 
@@ -365,3 +429,53 @@ def test_ascent_directions_reach_picard_every_iteration(monkeypatch):
     assert report.converged
     assert report.damping_history == [-1.0] * report.iterations
     assert np.max(np.abs(patch.values - exact)) < 1e-3
+
+
+def scaled_linear_steps(monkeypatch, factor):
+    """Make every ordered solve return ``factor`` times its solution."""
+    ordered_solve = solver._ordered_solve
+
+    def scaled(A, rhs, perm):
+        x, stats = ordered_solve(A, rhs, perm)
+        return factor * x, stats
+
+    monkeypatch.setattr(solver, "_ordered_solve", scaled)
+
+
+def slag_patch_from_harmonic_guess():
+    patch = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], (17, 17), 1 / 16)
+    patch.values[1:-1, 1:-1] = 0.0
+    solver.harmonic_initial_guess(patch)
+    return patch
+
+
+def test_damped_newton_step_is_accepted(monkeypatch):
+    # a Newton step 4x too long fails the line search at t = 1 and 1/2 and
+    # passes at t = 1/4, which is exactly the Newton step: the iterates are
+    # those of the undamped solve, bit for bit
+    reference = slag_patch_from_harmonic_guess()
+    assert solver.solve(reference, initial_guess=False).damping_history == [1.0, 1.0]
+    patch = slag_patch_from_harmonic_guess()
+    scaled_linear_steps(monkeypatch, 4.0)
+    report = solver.solve(patch, initial_guess=False)
+    assert report.converged
+    assert report.damping_history == [0.25, 0.25]
+    assert np.array_equal(patch.values, reference.values)
+
+
+def test_divergence_aborts_with_the_best_iterate_restored(monkeypatch):
+    # reversed linear steps push the residual up from the start, so the
+    # solve must stop 20 iterations after it first exceeds 10x the best one,
+    # and hand back the start
+    patch = slag_patch_from_harmonic_guess()
+    start = patch.values.copy()
+    start_residual = float(np.max(np.abs(solver.strong_residual_field(patch))))
+    scaled_linear_steps(monkeypatch, -1.0)
+    report = solver.solve(patch, initial_guess=False)
+    assert not report.converged
+    assert report.iterations < 50  # max_iter
+    assert report.residual == start_residual
+    assert np.array_equal(patch.values, start)
+    residuals = [entry["residual"] for entry in report.iteration_log]
+    assert min(residuals[-20:]) > 10.0 * start_residual
+    assert residuals[-21] <= 10.0 * start_residual
