@@ -303,16 +303,6 @@ def delta_logv_rhs(lam, h, return_parts: bool = False):
     return rhs
 
 
-def sqrt2_lower_bound(lam, h) -> np.ndarray:
-    """Conclusion bound sum_{a>n} h^2 + sum_i (1 + lam_i^2) h_{i,ii}^2."""
-    lam, h, single, m, n = _pad_h(lam, h)
-    diag = np.einsum("biii->bi", h[:, :n])
-    out = np.einsum("baij,baij->b", h[:, n:], h[:, n:]) + np.einsum(
-        "bi,bi->b", 1.0 + lam**2, diag**2
-    )
-    return float(out[0]) if single else out
-
-
 def lambda_lower_bound(lam, h, lam_bound: float) -> np.ndarray:
     """Bound (1 - Lambda/sqrt(2)) |B|^2 + (1/n) sum_j (sum_i lam_i h_{i,ij})^2."""
     lam, h, single, m, n = _pad_h(lam, h)
@@ -343,7 +333,7 @@ def _sample_spectra(rng, count: int, n: int, accept) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _margin_report(check, params, samples, seed, n, m, accept, bound_fn, threads=1):
+def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, threads=1):
     tol = params.get("tol", NONNEG_TOL)
 
     def run(rng_range):
@@ -352,7 +342,7 @@ def _margin_report(check, params, samples, seed, n, m, accept, bound_fn, threads
         count = hi - lo
         lam = _sample_spectra(rng, count, n, accept)
         h = _sample_h(rng, count, m, n)
-        margin = delta_logv_rhs(lam, h) - bound_fn(lam, h)
+        margin = margin_fn(lam, h)
         i = int(np.argmin(margin))
         return (
             float(margin[i]),
@@ -389,6 +379,12 @@ def check_sqrt2_inequality(
         rest = lam[:, 1:]
         return np.all(lam[:, :1] ** 2 * rest**2 <= 2.0 + rest**2 + 1e-14, axis=1)
 
+    def margin(lam, h):
+        # the bound sum_{a>n} h^2 + sum_i (1 + lam_i^2) h_{i,ii}^2 is the
+        # normal-excess and diagonal parts of the regrouped right-hand side
+        rhs, parts = delta_logv_rhs(lam, h, return_parts=True)
+        return rhs - (parts[..., 0] + parts[..., 1])
+
     return _margin_report(
         "sqrt2-logv",
         {"n": n, "m": m, "tol": NONNEG_TOL},
@@ -397,7 +393,7 @@ def check_sqrt2_inequality(
         n,
         m,
         accept,
-        sqrt2_lower_bound,
+        margin,
         threads,
     )
 
@@ -429,7 +425,7 @@ def check_lambda_inequality(
         n,
         m,
         accept,
-        lambda l, h: lambda_lower_bound(l, h, lam_bound),
+        lambda l, h: delta_logv_rhs(l, h) - lambda_lower_bound(l, h, lam_bound),
         threads,
     )
 

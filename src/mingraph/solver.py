@@ -1,11 +1,15 @@
 """Finite-difference solver for the minimal surface system on grid patches.
 
-Uniform grids over a box in R^n (n = 2 or 3) carrying m-vector node values
+Uniform grids over a box in R^n (n = 2, 3 or 4) carrying m-vector node values
 with Dirichlet boundary data on the outermost node layer.  The strong form
 sum_{ij} g^{ij} d^2 u^alpha / dx_i dx_j = 0 is discretized with second-order
 central differences and solved by damped Newton with a frozen-coefficient
-Picard fallback.  Every linear solve factors its matrix in one geometric
-nested-dissection order of the interior grid.
+Picard fallback.  The difference quotients are written once, in
+``_interior_derivatives``; the Newton and Picard matrices and the harmonic
+initial guess take their weights from the table ``_stencil`` reads off it,
+and one builder, ``_stencil_matrix``, turns them into sparse matrices.
+Every linear solve factors its matrix in one geometric nested-dissection
+order of the interior grid.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class GraphPatch:
         self.dims = tuple(int(d) for d in self.dims)
         self.origin = np.asarray(self.origin, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.n not in (2, 3):
-            raise ValueError("only n in {2, 3} is supported")
+        if self.n not in (2, 3, 4):
+            raise ValueError("only n in {2, 3, 4} is supported")
         if len(self.dims) != self.n or any(d < 3 for d in self.dims):
             raise ValueError("need at least 3 nodes per axis")
         if self.spacing <= 0:
@@ -62,14 +66,7 @@ class GraphPatch:
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dims, dtype=bool)
-        for axis in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
-        return mask
+        return _node_ids(self.dims) < 0
 
     def node_coords(self) -> np.ndarray:
         """Physical coordinates of all nodes, shape dims + (n,)."""
@@ -80,14 +77,8 @@ class GraphPatch:
     @classmethod
     def from_model(cls, model, origin, dims, spacing) -> "GraphPatch":
         """Sample an analytic model onto a grid (all nodes, not just boundary)."""
-        patch = cls(
-            model.n,
-            model.m,
-            tuple(dims),
-            spacing,
-            origin,
-            np.zeros(tuple(dims) + (model.m,)),
-        )
+        patch = cls(model.n, model.m, tuple(dims), spacing, origin,
+                    np.zeros(tuple(dims) + (model.m,)))
         patch.values[:] = model.value(patch.node_coords())
         return patch
 
@@ -212,10 +203,12 @@ def _ordered_solve(A, rhs, perm):
 
 
 def _interior_derivatives(patch: GraphPatch):
-    """Du (..., m, n) and Hessians (..., m, n, n) at interior nodes (1:-1)."""
-    U = patch.values
-    h = patch.spacing
-    n = patch.n
+    """Du (..., m, n) and Hessians (..., m, n, n) at interior nodes (1:-1).
+
+    The solver's one home of difference quotients: ``_stencil`` reads their
+    weights off this function.
+    """
+    U, h, n = patch.values, patch.spacing, patch.n
     unit = np.eye(n, dtype=int)
     center = _shift(U, [0] * n)
     Du = np.empty(center.shape[:-1] + (patch.m, n))
@@ -233,6 +226,55 @@ def _interior_derivatives(patch: GraphPatch):
             H[..., :, k, l] = mixed
             H[..., :, l, k] = mixed
     return Du, H
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil(n: int, h: float):
+    """The residual's difference weights at spacing h, as read-only arrays.
+
+    Returns (offsets, wD, wH): the (k, n) neighbour offsets the residual
+    reads, and the weight of u at each in Du (k, n) and in H (k, n, n).
+    They are ``_interior_derivatives`` of a 3^n patch holding 1 at the
+    offset and 0 elsewhere, so the matrices use the residual's own weights
+    bit for bit.
+    """
+    cells = 3**n
+    probe = GraphPatch(n, cells, (3,) * n, h, np.zeros(n),
+                       np.eye(cells).reshape((3,) * n + (cells,)))
+    Du, H = _interior_derivatives(probe)
+    Du, H = Du.reshape(cells, n), H.reshape(cells, n, n)
+    used = np.any(Du != 0, axis=1) | np.any(H != 0, axis=(1, 2))
+    table = (np.indices((3,) * n).reshape(n, cells).T[used] - 1, Du[used], H[used])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _stencil_matrix(dims, m: int, entries):
+    """Sparse CSC matrix over the interior unknowns node*m + alpha.
+
+    ``entries`` holds (offset, coeff) pairs with one coeff row per interior
+    node in C order.  A coeff of shape (N, m) couples unknown (node, alpha)
+    to (node + offset, alpha); one of shape (N, m, m) couples (node, alpha)
+    to (node + offset, beta) by coeff[:, alpha, beta].  Couplings to the
+    boundary layer, which holds no unknowns, are dropped.
+    """
+    ids = _node_ids(dims)
+    size = math.prod(d - 2 for d in dims) * m
+    pairs = {2: (np.arange(m), np.arange(m)),  # alpha to alpha
+             3: np.indices((m, m)).reshape(2, -1)}  # alpha to every beta
+    rows, cols, vals = [], [], []
+    for offset, coeff in entries:
+        alpha, beta = pairs[coeff.ndim]
+        nb = _shift(ids, offset).ravel()
+        ok = nb >= 0
+        rows.append((np.flatnonzero(ok)[:, None] * m + alpha).ravel())
+        cols.append((nb[ok][:, None] * m + beta).ravel())
+        vals.append(coeff[ok].reshape(-1))
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    ).tocsc()
 
 
 def strong_residual_field(patch: GraphPatch) -> np.ndarray:
@@ -258,103 +300,59 @@ class SolveReport:
     iteration_log: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "damping_history": self.damping_history,
-        }
+        return {key: getattr(self, key)
+                for key in ("iterations", "residual", "converged", "damping_history")}
 
 
 def _assemble(patch: GraphPatch, include_gradient_terms: bool):
-    """Sparse Jacobian of the interior strong residual w.r.t. interior values."""
-    n, m, h = patch.n, patch.m, patch.spacing
-    ids = _node_ids(patch.dims)
+    """Sparse Jacobian of the interior strong residual w.r.t. interior values.
+
+    The residual is g^{kl}(Du) H_kl, and the node at offset o enters Du and
+    H with the stencil weights wD[o] and wH[o].  The principal part
+    g^{kl} wH[o]_kl couples each component to itself.  The gradient terms,
+    -2 (g^{-1} H^alpha g^{-1} Du^beta)_r wD[o]_r, differentiate g^{kl}
+    through Du and couple alpha to beta; without them this is the
+    frozen-coefficient (Picard) matrix.
+    """
+    n, m = patch.n, patch.m
+    offsets, wD, wH = _stencil(n, patch.spacing)
     Du, H = _interior_derivatives(patch)
     ginv = np.linalg.inv(induced_metric(Du)[0])
-    n_nodes = int(np.prod(Du.shape[:-2]))
-    unit = np.eye(n, dtype=int)
-
-    rows, cols, vals = [], [], []
-
-    def add(offset, coeff_flat, alpha, beta):
-        """coeff_flat: per-interior-node coefficient for unknown (node+offset, beta)."""
-        nb = _shift(ids, offset).ravel()
-        ok = nb >= 0
-        rows.append(np.flatnonzero(ok) * m + alpha)
-        cols.append(nb[ok] * m + beta)
-        vals.append(coeff_flat[ok])
-
-    # principal part: sum_{kl} g^{kl} D2_{kl}
-    for alpha in range(m):
-        center = np.zeros(n_nodes)
-        for k in range(n):
-            gkk = ginv[..., k, k].reshape(-1)
-            ek = unit[k]
-            add(ek, gkk / h**2, alpha, alpha)
-            add(-ek, gkk / h**2, alpha, alpha)
-            center -= 2.0 * gkk / h**2
-            for l in range(k + 1, n):
-                gkl = ginv[..., k, l].reshape(-1)
-                el = unit[l]
-                for sk in (1, -1):
-                    for sl_ in (1, -1):
-                        add(
-                            sk * ek + sl_ * el,
-                            sk * sl_ * 2.0 * gkl / (4 * h**2),
-                            alpha,
-                            alpha,
-                        )
-        add([0] * n, center, alpha, alpha)
-
+    n_nodes = math.prod(Du.shape[:-2])
+    principal = np.einsum("...kl,okl->...o", ginv, wH).reshape(n_nodes, -1)
     if include_gradient_terms:
-        # coefficient of d(Du^beta_r): -2 (g^{-1} H^alpha g^{-1} Du^beta)_r
         w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
         coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
         coeff = coeff.reshape(n_nodes, m, m, n)
-        for alpha in range(m):
-            for beta in range(m):
-                for r in range(n):
-                    c = coeff[:, alpha, beta, r]
-                    add(unit[r], c / (2 * h), alpha, beta)
-                    add(-unit[r], -c / (2 * h), alpha, beta)
-
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes * m, n_nodes * m),
-    ).tocsc()
-    return J
+    entries = []
+    for o, offset in enumerate(offsets):
+        p = principal[:, o]
+        if include_gradient_terms and wD[o].any():
+            entries.append((offset, coeff @ wD[o] + p[:, None, None] * np.eye(m)))
+        else:
+            entries.append((offset, np.repeat(p[:, None], m, axis=1)))
+    return _stencil_matrix(patch.dims, m, entries)
 
 
 def harmonic_initial_guess(patch: GraphPatch) -> None:
-    """Fill the interior with the discrete harmonic extension of the boundary.
+    """Replace the interior by the discrete harmonic extension of the boundary.
 
-    Exact for affine boundary data, like the multilinear interpolant, and
-    available in one deterministic sparse solve for any n: one factor of
-    the Laplacian serves all m components.
+    One correction: delta solves L delta = -tr H(u) with zero boundary
+    values, L the trace of the residual's H stencil, and is added to the
+    interior.  Exact for affine boundary data, like the multilinear
+    interpolant, and one deterministic sparse solve for any n: one factor
+    of L serves all m components.
     """
-    n, m = patch.n, patch.m
-    ids = _node_ids(patch.dims)
-    inner = _shift(patch.values, [0] * n)  # a view: written in place below
-    n_nodes = int(np.prod(inner.shape[:-1]))
-    nodes = np.arange(n_nodes)
-    rows, cols, vals = [nodes], [nodes], [np.full(n_nodes, -2.0 * n)]
-    rhs = np.zeros((n_nodes, m))
-    for ek in np.eye(n, dtype=int):
-        for offset in (ek, -ek):
-            nb = _shift(ids, offset).ravel()
-            ok = nb >= 0
-            rows.append(np.flatnonzero(ok))
-            cols.append(nb[ok])
-            vals.append(np.ones(cols[-1].size))
-            # boundary neighbours are known values: move them to the right side
-            rhs[~ok] -= _shift(patch.values, offset).reshape(n_nodes, m)[~ok]
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    ).tocsc()
-    x, _ = _ordered_solve(A, rhs, _unknown_order(patch.dims, 1))
-    inner[...] = x.reshape(inner.shape)
+    offsets, _, wH = _stencil(patch.n, patch.spacing)
+    inner = _shift(patch.values, [0] * patch.n)  # a view: written in place below
+    n_nodes = math.prod(inner.shape[:-1])
+    A = _stencil_matrix(patch.dims, 1, [
+        (offset, np.full((n_nodes, 1), weight))
+        for offset, weight in zip(offsets, np.trace(wH, axis1=1, axis2=2)) if weight])
+    _, H = _interior_derivatives(patch)
+    rhs = -np.trace(H, axis1=-2, axis2=-1).reshape(n_nodes, patch.m)
+    delta, _ = _ordered_solve(A, rhs, _unknown_order(patch.dims, 1))
+    inner += delta.reshape(inner.shape)
 
 
 def solve(
@@ -380,9 +378,6 @@ def solve(
     inner = tuple(slice(1, -1) for _ in range(patch.n))
     perm = _unknown_order(patch.dims, patch.m)
 
-    def resid():
-        return strong_residual_field(patch)
-
     def linear_step(R, include_gradient_terms):
         start = time.perf_counter()
         A = _assemble(patch, include_gradient_terms)
@@ -391,7 +386,7 @@ def solve(
         stats["assemble_s"] = assembled
         return delta.reshape(R.shape), stats
 
-    R = resid()
+    R = strong_residual_field(patch)
     res_norm = float(np.max(np.abs(R))) if R.size else 0.0
     best_vals = patch.values.copy()
     best_norm = res_norm
@@ -407,7 +402,7 @@ def solve(
         accepted = False
         for _ in range(11):
             patch.values[inner] = base + step * delta
-            trial = resid()
+            trial = strong_residual_field(patch)
             trial_norm = float(np.max(np.abs(trial)))
             if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
                 accepted = True
@@ -419,7 +414,7 @@ def solve(
             delta, picard = linear_step(R, include_gradient_terms=False)
             stats = {key: stats[key] + picard[key] for key in stats}
             patch.values[inner] = base + delta
-            trial = resid()
+            trial = strong_residual_field(patch)
             trial_norm = float(np.max(np.abs(trial)))
             step = -1.0  # marks a Picard step in the history
         R, res_norm = trial, trial_norm

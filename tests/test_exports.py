@@ -8,6 +8,8 @@ import mingraph
 # Definitions deleted or moved into the tests as reference oracles.  None of
 # them may come back as a public or private name of the package.
 REMOVED = {
+    # algebra
+    "sqrt2_lower_bound",
     # diagnostics
     "SffTensor", "sff_at", "sff_tensor", "_adapted_svd", "_contract",
     "laplace_inv_slope_formula", "laplace_inv_slope_fd", "deltav_inverse",

@@ -1,7 +1,11 @@
 """Unit tests for the grid patch solver, residuals, and MGP1 round trips."""
 
+import inspect
 import itertools
 import math
+import re
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from mingraph import solver
 from mingraph.grassmann import induced_metric
-from mingraph.models import model_affine, model_slag_exp
+from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
 
 
 def make_affine():
@@ -85,7 +89,7 @@ def test_patch_validation():
     with pytest.raises(ValueError):
         solver.GraphPatch(2, 1, (5, 5), -0.1, np.zeros(2), np.zeros((5, 5, 1)))
     with pytest.raises(ValueError):
-        solver.GraphPatch(4, 1, (5, 5, 5, 5), 0.1, np.zeros(4), np.zeros((5, 5, 5, 5, 1)))
+        solver.GraphPatch(5, 1, (3,) * 5, 0.1, np.zeros(5), np.zeros((3,) * 5 + (1,)))
 
 
 def test_boundary_mask_is_outer_layer():
@@ -479,3 +483,87 @@ def test_divergence_aborts_with_the_best_iterate_restored(monkeypatch):
     residuals = [entry["residual"] for entry in report.iteration_log]
     assert min(residuals[-20:]) > 10.0 * start_residual
     assert residuals[-21] <= 10.0 * start_residual
+
+
+def smooth_patch(dims, m, seed):
+    """Random smooth data sin(a . x + b) per component, spacing 0.2."""
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    patch = solver.GraphPatch(n, m, dims, 0.2, rng.uniform(-1, 1, n),
+                              np.zeros(dims + (m,)))
+    a, b = rng.standard_normal((m, n)), rng.uniform(0, np.pi, m)
+    patch.values[:] = np.sin(patch.node_coords() @ a.T + b)
+    return patch
+
+
+def central_difference_jacobian(patch, eps=1e-6):
+    """d(strong residual)/d(interior values), one unknown at a time."""
+    inner = tuple(slice(1, -1) for _ in patch.dims)
+    x = patch.values[inner].copy()
+    columns = []
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = eps
+        patch.values[inner] = x + step.reshape(x.shape)
+        up = solver.strong_residual_field(patch).ravel()
+        patch.values[inner] = x - step.reshape(x.shape)
+        down = solver.strong_residual_field(patch).ravel()
+        columns.append((up - down) / (2 * eps))
+    patch.values[inner] = x
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_newton_matrix_is_the_residual_jacobian(dims, m):
+    patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
+    A = solver._assemble(patch, include_gradient_terms=True).toarray()
+    J = central_difference_jacobian(patch)
+    assert np.max(np.abs(A - J)) <= 1e-8 * np.max(np.abs(A))
+
+
+@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_picard_matrix_applies_the_frozen_metric(dims, m):
+    # A delta = g0^{ij} D_ij delta, with g0 = g(Du) of the patch frozen and
+    # delta zero on the boundary
+    patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
+    Du, _ = solver._interior_derivatives(patch)
+    ginv = np.linalg.inv(induced_metric(Du)[0])
+    delta = solver.GraphPatch(patch.n, m, dims, patch.spacing, patch.origin,
+                              np.zeros(dims + (m,)))
+    inner = tuple(slice(1, -1) for _ in dims)
+    delta.values[inner] = np.random.default_rng(m).standard_normal(Du.shape[:-1])
+    _, H = solver._interior_derivatives(delta)
+    expected = np.einsum("...kl,...akl->...a", ginv, H).ravel()
+    picard = solver._assemble(patch, include_gradient_terms=False)
+    got = picard @ delta.values[inner].ravel()
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_solver_stencil_has_one_home():
+    # difference quotients are written only in _interior_derivatives: the
+    # matrices and the harmonic guess take their weights from _stencil
+    own = inspect.getsource(solver._interior_derivatives)
+    text = Path(solver.__file__).read_text()
+    assert own in text
+    quotient = re.compile(r"\d(\.0)?\s*\*\s*[hn]\b|\bh\s*\*\*|/\s*\(?h\b")
+    found = [m.group(0) for m in quotient.finditer(text.replace(own, ""))]
+    assert found == []
+
+
+def test_solve_4d_cone_converges_second_order():
+    # the Lawson-Osserman cone from exact boundary data, away from its vertex
+    cone = model_lawson_osserman()
+    errs = []
+    for nodes in (5, 7):
+        patch = solver.GraphPatch.from_model(cone, [0.5, 0.2, -0.3, 0.4],
+                                             (nodes,) * 4, 1.0 / (nodes - 1))
+        exact = patch.values.copy()
+        patch.values[1:-1, 1:-1, 1:-1, 1:-1] = 0.0
+        report = solver.solve(patch)
+        assert report.converged
+        assert report.damping_history == [1.0] * 4
+        errs.append(np.max(np.abs(patch.values - exact)))
+    assert errs[1] <= 1.2e-3
+    assert errs[0] >= 1.5 * errs[1]
