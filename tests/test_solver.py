@@ -4,7 +4,6 @@ import inspect
 import itertools
 import math
 import re
-
 from pathlib import Path
 
 import numpy as np
@@ -552,7 +551,7 @@ def test_solver_stencil_has_one_home():
     assert found == []
 
 
-def test_solve_4d_cone_converges_second_order():
+def test_solve_4d_cone_from_exact_boundary_data():
     # the Lawson-Osserman cone from exact boundary data, away from its vertex
     cone = model_lawson_osserman()
     errs = []
