@@ -13,7 +13,7 @@ identical inputs, independent of the thread count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ _CHUNK = 20000
 
 
 class SamplingFailureError(RuntimeError):
-    """Rejection sampler acceptance rate collapsed below 1e-6."""
+    """A rejection sampler accepted no draw out of its first 1e7."""
 
 
 @dataclass
@@ -54,17 +54,7 @@ class ScanReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "samples": self.samples,
-            "min_value": self.min_value,
-            "argmin": list(self.argmin),
-            "violations": self.violations,
-            "seed": self.seed,
-            "max_value": self.max_value,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -317,50 +307,65 @@ def _sample_h(rng, count: int, m: int, n: int) -> np.ndarray:
     return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
-def _sample_spectra(rng, count: int, n: int, accept) -> np.ndarray:
-    """Sorted-descending spectra, uniform on [0, 3]^n, filtered by ``accept``."""
+def _rejection_sample(rng, count: int, propose, accept) -> np.ndarray:
+    """The first ``count`` draws of ``propose(rng, size)`` that pass ``accept``.
+
+    Each round proposes 4 * count draws and keeps the accepted ones, up to
+    the number still needed.  Raises ``SamplingFailureError`` once 1e7 draws
+    have produced none.
+    """
     out = []
     have = 0
     draws = 0
     while have < count:
-        lam = np.sort(rng.uniform(0.0, 3.0, size=(4 * count, n)), axis=1)[:, ::-1]
-        draws += lam.shape[0]
-        lam = lam[accept(lam)]
-        out.append(lam[: count - have])
+        x = propose(rng, 4 * count)
+        draws += x.shape[0]
+        x = x[accept(x)]
+        out.append(x[: count - have])
         have += out[-1].shape[0]
         if draws > 1e7 and have == 0:
-            raise SamplingFailureError("spectrum sampler acceptance rate too low")
+            raise SamplingFailureError("no accepted draw in 1e7")
     return np.concatenate(out, axis=0)
 
 
-def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, threads=1):
-    tol = params.get("tol", NONNEG_TOL)
+def _sampled_report(check, params, samples, seed, chunk, threads, pick=min):
+    """Report the ``pick`` of ``chunk(rng, count) -> (value, arg, violations)``.
+
+    ``samples`` is split into fixed chunks of ``_CHUNK``, each drawing from
+    its own ``SeedSequence([seed, start])``, so the report does not depend on
+    ``threads``.  Violations are summed over the chunks.
+    """
 
     def run(rng_range):
         lo, hi = rng_range
-        rng = np.random.default_rng(np.random.SeedSequence([seed, lo]))
-        count = hi - lo
-        lam = _sample_spectra(rng, count, n, accept)
-        h = _sample_h(rng, count, m, n)
-        margin = margin_fn(lam, h)
+        return chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])), hi - lo)
+
+    results = run_chunks(run, chunk_ranges(samples, _CHUNK), threads)
+    value, arg, _ = pick(results, key=lambda t: t[0])
+    return ScanReport(check=check, params=params, samples=samples, min_value=value,
+                      argmin=arg, violations=sum(r[2] for r in results), seed=seed)
+
+
+def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, threads=1):
+    """Smallest ``margin_fn(lam, h)`` over spectra passing ``accept`` and random h.
+
+    Spectra are sorted descending and uniform on [0, 3]^n before ``accept``.
+    """
+
+    def propose(rng, size):
+        return np.sort(rng.uniform(0.0, 3.0, size=(size, n)), axis=1)[:, ::-1]
+
+    def chunk(rng, count):
+        lam = _rejection_sample(rng, count, propose, accept)
+        margin = margin_fn(lam, _sample_h(rng, count, m, n))
         i = int(np.argmin(margin))
         return (
             float(margin[i]),
             [float(x) for x in lam[i]],
-            int(np.count_nonzero(margin < -tol)),
+            int(np.count_nonzero(margin < -params["tol"])),
         )
 
-    results = run_chunks(run, chunk_ranges(samples, _CHUNK), threads)
-    best = min(results, key=lambda t: t[0])
-    return ScanReport(
-        check=check,
-        params=params,
-        samples=samples,
-        min_value=best[0],
-        argmin=best[1],
-        violations=sum(r[2] for r in results),
-        seed=seed,
-    )
+    return _sampled_report(check, params, samples, seed, chunk, threads)
 
 
 def check_sqrt2_inequality(
@@ -385,17 +390,8 @@ def check_sqrt2_inequality(
         rhs, parts = delta_logv_rhs(lam, h, return_parts=True)
         return rhs - (parts[..., 0] + parts[..., 1])
 
-    return _margin_report(
-        "sqrt2-logv",
-        {"n": n, "m": m, "tol": NONNEG_TOL},
-        samples,
-        seed,
-        n,
-        m,
-        accept,
-        margin,
-        threads,
-    )
+    return _margin_report("sqrt2-logv", {"n": n, "m": m, "tol": NONNEG_TOL},
+                          samples, seed, n, m, accept, margin, threads)
 
 
 def check_lambda_inequality(
@@ -417,17 +413,12 @@ def check_lambda_inequality(
             return np.ones(lam.shape[0], dtype=bool)
         return lam[:, 0] * lam[:, 1] <= lam_bound + 1e-14
 
-    return _margin_report(
-        "lambda-logv",
-        {"Lambda": lam_bound, "n": n, "m": m, "tol": NONNEG_TOL},
-        samples,
-        seed,
-        n,
-        m,
-        accept,
-        lambda l, h: delta_logv_rhs(l, h) - lambda_lower_bound(l, h, lam_bound),
-        threads,
-    )
+    def margin(lam, h):
+        return delta_logv_rhs(lam, h) - lambda_lower_bound(lam, h, lam_bound)
+
+    return _margin_report("lambda-logv",
+                          {"Lambda": lam_bound, "n": n, "m": m, "tol": NONNEG_TOL},
+                          samples, seed, n, m, accept, margin, threads)
 
 
 def xi11(a: np.ndarray) -> np.ndarray:
@@ -470,45 +461,25 @@ def xi11_sampler(
     a_min = (1.0 - eps) / np.sqrt(1.0 - (1.0 - eps) ** 2)
     a_max = max(3.0 * a_min, 12.0)  # the sup of |xi_11| is approached at large a_11
 
-    def run(rng_range):
-        lo, hi = rng_range
-        rng = np.random.default_rng(np.random.SeedSequence([seed, lo]))
-        need = hi - lo
-        worst = 0.0
-        arg = None
-        have = 0
-        draws = 0
-        while have < need:
-            batch = 4 * (need - have)
-            a11 = a_min + (a_max - a_min) * rng.uniform(0.0, 1.0, size=batch)
-            delta = 0.5 * np.minimum(np.sqrt(eps), lam_bound / a11)
-            a = rng.uniform(-1.0, 1.0, size=(batch, 2, 2)) * delta[:, None, None]
-            a[:, 0, 0] = a11
-            draws += batch
-            lam12, detb = _dilation_and_detb(a)
-            ok = (lam12 <= lam_bound) & (a11 >= (1.0 - eps) * np.sqrt(detb))
-            if draws > max(1e6, need / 1e-6) and have == 0:
-                raise SamplingFailureError("xi_11 sampler acceptance below 1e-6")
-            a = a[ok][: need - have]
-            if a.shape[0] == 0:
-                continue
-            vals = np.abs(xi11(a))
-            i = int(np.argmax(vals))
-            if vals[i] > worst:
-                worst = float(vals[i])
-                arg = [float(x) for x in a[i].ravel()]
-            have += a.shape[0]
-        return worst, arg, have
+    def propose(rng, size):
+        a11 = a_min + (a_max - a_min) * rng.uniform(0.0, 1.0, size=size)
+        delta = 0.5 * np.minimum(np.sqrt(eps), lam_bound / a11)
+        a = rng.uniform(-1.0, 1.0, size=(size, 2, 2)) * delta[:, None, None]
+        a[:, 0, 0] = a11
+        return a
 
-    results = run_chunks(run, chunk_ranges(samples, _CHUNK), threads)
-    best = max(results, key=lambda t: t[0])
-    return ScanReport(
-        check="xi11-limit",
-        params={"Lambda": lam_bound, "eps": eps, "n": 2, "m": 2},
-        samples=samples,
-        min_value=best[0],
-        argmin=best[1],
-        violations=0,
-        seed=seed,
-        max_value=best[0],
-    )
+    def accept(a):
+        lam12, detb = _dilation_and_detb(a)
+        return (lam12 <= lam_bound) & (a[:, 0, 0] >= (1.0 - eps) * np.sqrt(detb))
+
+    def chunk(rng, count):
+        a = _rejection_sample(rng, count, propose, accept)
+        vals = np.abs(xi11(a))
+        i = int(np.argmax(vals))
+        return float(vals[i]), [float(x) for x in a[i].ravel()], 0
+
+    report = _sampled_report("xi11-limit",
+                             {"Lambda": lam_bound, "eps": eps, "n": 2, "m": 2},
+                             samples, seed, chunk, threads, pick=max)
+    report.max_value = report.min_value
+    return report

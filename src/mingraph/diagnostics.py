@@ -16,7 +16,7 @@ import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs, lambda_lower_bound
 from mingraph.grassmann import induced_metric, slope, two_dilation
-from mingraph.util import _ball_midpoint_sum
+from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum
 
 _CHUNK = 50000
 
@@ -175,15 +175,13 @@ def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport
     )
 
 
-def curvature_integral(
-    model, radius: float, nodes_per_axis: int = 40, vertex_cutoff_frac: float = 1e-3
-) -> float:
+def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
     """Midpoint-rule integral of |B|^2 over the graph above the ball B_radius.
 
     Integrates |B|^2 v over {x : cutoff <= |x| <= radius} in the base, the
-    cutoff excising a fixed fraction of the radius around possible cone
-    vertices.  |B|^2 comes from ``sff_norm2``'s frame-free formula, so each
-    point carries its relative error of about eps * (1 + lam_1^2).
+    cutoff ``VERTEX_CUTOFF_FRAC * radius`` excising possible cone vertices.
+    |B|^2 comes from ``sff_norm2``'s frame-free formula, so each point
+    carries its relative error of about eps * (1 + lam_1^2).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -194,7 +192,7 @@ def curvature_integral(
         return float(np.sum(_sff_norm2(J, model.hessian(x), g) * np.exp(log_v)))
 
     return _ball_midpoint_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
-                              _CHUNK, vertex_cutoff_frac * radius)
+                              _CHUNK, VERTEX_CUTOFF_FRAC * radius)
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):

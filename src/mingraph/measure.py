@@ -15,9 +15,8 @@ import numpy as np
 
 from mingraph.grassmann import induced_metric
 from mingraph.models import AnalyticModel
-from mingraph.util import _ball_midpoint_sum, unit_ball_volume
+from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, unit_ball_volume
 
-VERTEX_CUTOFF_FRAC = 1e-3
 _CHUNK = 200000
 
 

@@ -47,6 +47,11 @@ def grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+# cutoff / radius of the ball around a possible cone vertex that the
+# volume and curvature quadratures excise
+VERTEX_CUTOFF_FRAC = 1e-3
+
+
 def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
                        cutoff: float = 0.0, threads: int = 1) -> float:
     """Midpoint rule h^n sum fn(x) over the nodes^n cells of the box center +- radius.

@@ -1,7 +1,10 @@
 """Unit tests for the inequality scans, samplers, and the log v identity rhs."""
 
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +128,48 @@ _PINNED_XI11 = {
 def test_xi11_sampler_report_pinned():
     rep = algebra.xi11_sampler(1.0, 0.1, 2000, seed=3)
     assert rep.to_json() == json.dumps(_PINNED_XI11, sort_keys=True, indent=2)
+
+
+# The sqrt(2) and Lambda margin reports pinned byte for byte over three
+# chunks, the last one short.
+_PINNED_MARGINS = {
+    "sqrt2": (lambda: algebra.check_sqrt2_inequality(45000, seed=3, n=3, m=3), {
+        "argmin": [0.7285987847254157, 0.5697583899492968, 0.08255582375437331],
+        "check": "sqrt2-logv", "max_value": None,
+        "min_value": 0.8223602172801705, "notes": {},
+        "params": {"m": 3, "n": 3, "tol": 1e-09},
+        "samples": 45000, "seed": 3, "violations": 0}),
+    "lambda": (lambda: algebra.check_lambda_inequality(1.0, 45000, seed=3, n=3, m=3), {
+        "argmin": [0.34174726393649724, 0.2467888112597575, 0.13667405371469699],
+        "check": "lambda-logv", "max_value": None,
+        "min_value": 1.1535011540892974, "notes": {},
+        "params": {"Lambda": 1.0, "m": 3, "n": 3, "tol": 1e-09},
+        "samples": 45000, "seed": 3, "violations": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_MARGINS))
+def test_margin_sampler_reports_pinned(name):
+    sampler, expected = _PINNED_MARGINS[name]
+    assert sampler().to_json() == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def test_sampler_without_accepted_draws_fails():
+    # lam_1 lam_2 <= 1e-9 admits almost no spectrum of [0, 3]^3: the sampler
+    # gives up after 1e7 draws instead of looping
+    with pytest.raises(algebra.SamplingFailureError):
+        algebra.check_lambda_inequality(1e-9, 20000, seed=1)
+
+
+def test_algebra_has_one_rejection_loop():
+    # every sampler seeds its chunks in _sampled_report and draws through the
+    # one loop in _rejection_sample
+    text = Path(algebra.__file__).read_text()
+    assert text.count("default_rng(") == 1
+    assert "default_rng(" in inspect.getsource(algebra._sampled_report)
+    loops = re.findall(r"^\s*while\b", text, re.MULTILINE)
+    assert len(loops) == 1
+    assert "while have < count" in inspect.getsource(algebra._rejection_sample)
 
 
 def test_delta_logv_rhs_zero_spectrum_is_b_norm():
