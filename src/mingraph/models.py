@@ -118,6 +118,33 @@ _LO_Q[1][1, 3] = _LO_Q[1][3, 1] = 1.0
 _LO_Q[2][1, 2] = _LO_Q[2][2, 1] = 1.0
 _LO_Q[2][0, 3] = _LO_Q[2][3, 0] = -1.0
 _LO_SCALE = np.sqrt(5.0) / 2.0
+# each row of each Q^a holds one +-1, so (Q^a x)_i = _LO_SIGN[a, i] x[_LO_COL[a, i]]
+_LO_COL = np.abs(_LO_Q).argmax(axis=-1)
+_LO_SIGN = _LO_Q.sum(axis=-1)
+
+
+def _norm2(x):
+    """|x|^2 for points x (..., 4), summed column by column.
+
+    That is the order of np.sum(x**2, axis=-1), so the bits are the same.
+    """
+    a, b, c, d = np.moveaxis(x, -1, 0)
+    return a * a + b * b + c * c + d * d
+
+
+def _hopf(x):
+    """x^T Q^a x, shape (..., 3), for points x (..., 4), without einsum.
+
+    Each form is summed in the order np.einsum("...i,aij,...j->...a") sums
+    it, and onto +0 as einsum does, so the bits are einsum's, signed zeros
+    included.
+    """
+    a, b, c, d = np.moveaxis(x, -1, 0)
+    q = np.zeros(x.shape[:-1] + (3,))
+    q[..., 0] += a * a + b * b - c * c - d * d
+    q[..., 1] += a * c + b * d + c * a + d * b
+    q[..., 2] += b * c - a * d + c * b - d * a
+    return q
 
 
 def model_lawson_osserman() -> AnalyticModel:
@@ -131,23 +158,25 @@ def model_lawson_osserman() -> AnalyticModel:
 
     def _radius(x):
         x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
+        r = np.sqrt(_norm2(x))
         if np.any(r == 0.0):
             raise DomainError("Lawson-Osserman model is undefined at x = 0")
         return x, r
 
     def value(x):
         x, r = _radius(x)
-        q = np.einsum("...i,aij,...j->...a", x, _LO_Q, x)
-        return _LO_SCALE * q / r[..., None]
+        return _LO_SCALE * _hopf(x) / r[..., None]
 
     def jacobian(x):
         x, r = _radius(x)
-        q = np.einsum("...i,aij,...j->...a", x, _LO_Q, x)
-        dq = 2.0 * np.einsum("aij,...j->...ai", _LO_Q, x)
+        # 2 Q^a x; adding 0.0 makes a zero entry +0, as einsum's sum onto +0 does
+        dq = x[..., _LO_COL] * _LO_SIGN
+        dq += 0.0
+        dq *= 2.0
+        # r ** 3 stays an array power: on a numpy scalar it rounds differently
         return _LO_SCALE * (
             dq / r[..., None, None]
-            - q[..., None] * x[..., None, :] / r[..., None, None] ** 3
+            - _hopf(x)[..., None] * x[..., None, :] / r[..., None, None] ** 3
         )
 
     def hessian(x):
@@ -166,8 +195,7 @@ def model_lawson_osserman() -> AnalyticModel:
         return h
 
     def in_domain(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x**2, axis=-1) > 0.0
+        return _norm2(np.asarray(x, dtype=float)) > 0.0
 
     return AnalyticModel("lawson-osserman", 4, 3, value, jacobian, hessian, in_domain)
 

@@ -180,6 +180,21 @@ def test_induced_metric_batched_matches_slope():
                                                    rel=1e-13)
 
 
+@pytest.mark.parametrize("lead", [(4, 5), (), (3000,)])
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 4)])
+def test_induced_metric_matches_einsum_bit_for_bit(m, n, lead):
+    rng = np.random.default_rng(10 * m + n)
+    J = rng.standard_normal(lead + (m, n)) * rng.uniform(0.01, 100.0, lead + (1, 1))
+    J[..., 0, :] *= rng.integers(0, 2, lead + (1,))  # zero rows, signed zeros
+    g, log_v = induced_metric(J)
+    ref = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
+    assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+    ref_log_v = 0.5 * np.linalg.slogdet(ref)[1]
+    assert np.shape(log_v) == lead
+    assert np.asarray(log_v).tobytes() == np.asarray(ref_log_v).tobytes()
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+
 def test_induced_metric_has_one_home():
     # g = I + Du^T Du and v = sqrt(det g) are formed only in induced_metric
     own = inspect.getsource(induced_metric)

@@ -1,8 +1,13 @@
 """Unit tests for the analytic model registry and its exact derivatives."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mingraph import models
 from mingraph.grassmann import singular_spectrum, slope, two_dilation
 from mingraph.models import (
     DomainError,
@@ -119,6 +124,64 @@ def _hopf_cone_hessian_reference(x):
     term3 = q * np.eye(4) / r**3
     term4 = 3.0 * q * x[..., None, :, None] * x[..., None, None, :] / r**5
     return _LO_SCALE * (term1 - term2 - term3 + term4)
+
+
+def _hopf_cone_einsum_reference(x):
+    """Reference: the cone's value and Jacobian as einsum contractions with Q^a."""
+    from mingraph.models import _LO_Q, _LO_SCALE
+
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(np.sum(x**2, axis=-1))
+    q = np.einsum("...i,aij,...j->...a", x, _LO_Q, x)
+    dq = 2.0 * np.einsum("aij,...j->...ai", _LO_Q, x)
+    value = _LO_SCALE * q / r[..., None]
+    jacobian = _LO_SCALE * (
+        dq / r[..., None, None]
+        - q[..., None] * x[..., None, :] / r[..., None, None] ** 3
+    )
+    return value, jacobian
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_hopf_cone_value_and_jacobian_match_einsum_bit_for_bit():
+    model = model_lawson_osserman()
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((500, 4)) * rng.uniform(0.01, 10.0, (500, 1))
+    # exact zero coordinates of both signs: einsum sums onto +0, never -0
+    z = rng.integers(-2, 3, (200, 4)) * rng.choice([-1.0, 1.0], (200, 1))
+    z = z[np.any(z != 0.0, axis=1)]
+    assert np.any(np.signbit(z) & (z == 0.0))
+    for pts in (x, x[:1], z):
+        value, jacobian = _hopf_cone_einsum_reference(pts)
+        assert _same_bits(model.value(pts), value)
+        assert _same_bits(model.jacobian(pts), jacobian)
+    # one point of shape (4,) at a time: |x| is a numpy scalar there, whose
+    # cube rounds differently from an array's on 29 of these 500 points
+    for p in x:
+        value, jacobian = _hopf_cone_einsum_reference(p)
+        assert _same_bits(model.value(p), value)
+        assert _same_bits(model.jacobian(p), jacobian)
+
+
+def test_hopf_forms_have_one_home():
+    # x^T Q^a x is written out only in models._hopf; the cone's value and
+    # Jacobian call it and no einsum
+    model = model_lawson_osserman()
+    for fn in (model.value, model.jacobian):
+        src = inspect.getsource(fn)
+        assert "_hopf(" in src and "einsum(" not in src
+    own = inspect.getsource(models._hopf)
+    forms = [re.sub(r"\s", "", f) for f in re.findall(r"\+= (.+)", own)]
+    assert len(forms) == 3
+    found = []
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        text = re.sub(r"\s", "", path.read_text().replace(own, ""))
+        found += [f"{path.name}: {f}" for f in forms if f in text]
+    assert found == []
 
 
 def test_hopf_cone_hessian_matches_closed_form():
