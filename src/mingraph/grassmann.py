@@ -66,7 +66,7 @@ def induced_metric(jacobian):
     log v comes from ``slogdet``, so exp(log v) stays finite where det g
     overflows.  A closed-form 2 x 2 log det would move report bits: on the
     slag-exp quadrature points, where g12 = 0 exactly, (1/2) log(g11 g22)
-    differs from slogdet's log v in the last bits on 24-63% of the points.
+    differs from slogdet's log v at rounding level on 24-63% of the points.
     Callers that need g^{-1} invert g themselves.
     """
     J = np.asarray(jacobian, dtype=float)
