@@ -3,33 +3,32 @@
 Uniform grids over a box in R^n (n = 2, 3 or 4) carrying m-vector node values
 with Dirichlet boundary data on the outermost node layer.  The strong form
 sum_{ij} g^{ij} d^2 u^alpha / dx_i dx_j = 0 is discretized with second-order
-central differences and solved by damped Newton with a frozen-coefficient
-Picard fallback.  The difference quotients are written once, in
-``_interior_derivatives``; the Newton and Picard matrices and the harmonic
-initial guess take their weights from the table ``_stencil`` reads off it,
-and one builder, ``_stencil_matrix``, turns them into sparse matrices.
-Every linear solve factors its matrix in one geometric nested-dissection
-order of the interior grid.
+central differences, written once in ``_interior_derivatives``, and solved by
+damped Newton with a frozen-coefficient Picard fallback.  No matrix is
+formed: GMRES solves each linear step with the operator applied to vectors,
+preconditioned by the residual's own Laplacian tr H, which a sine transform
+diagonalizes.  The slope is bounded, so the operator is spectrally
+equivalent to that Laplacian uniformly in the spacing.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mingraph.grassmann import induced_metric
 from mingraph.util import grid_points
 
 DEFAULT_TOL = 1e-10
-_DISSECTION_LEAF = 8  # boxes of at most this many nodes are not split further
+_GMRES_RTOL = 1e-12  # relative residual every linear solve aims for
+_GMRES_RESTART = 60  # Krylov vectors kept before GMRES restarts
+_GMRES_CYCLES = 5  # restarts before a linear solve counts as missed
 
 
 @dataclass
@@ -66,7 +65,8 @@ class GraphPatch:
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        return _node_ids(self.dims) < 0
+        return np.pad(np.zeros([d - 2 for d in self.dims], dtype=bool), 1,
+                      constant_values=True)
 
     def node_coords(self) -> np.ndarray:
         """Physical coordinates of all nodes, shape dims + (n,)."""
@@ -133,80 +133,12 @@ def _shift(arr, offset):
     return arr[tuple(slice(1 + o, (o - 1) or None) for o in offset)]
 
 
-def _node_ids(dims) -> np.ndarray:
-    """Interior node ids 0..N-1 in C order, -1 on the boundary layer.
-
-    ``_shift(ids, offset).ravel()[i]`` is the id of the neighbour of
-    interior node i at ``offset``, or -1 where that neighbour is boundary.
-    """
-    ids = np.full(dims, -1, dtype=np.int64)
-    inner_dims = tuple(d - 2 for d in dims)
-    ids[tuple(slice(1, -1) for _ in dims)] = np.arange(
-        int(np.prod(inner_dims))).reshape(inner_dims)
-    return ids
-
-
-@functools.lru_cache(maxsize=4)
-def _dissection_order(inner_dims: tuple) -> np.ndarray:
-    """Interior node ids (C order) listed in geometric nested-dissection order.
-
-    A box of nodes is split at the middle plane of its longest axis; the two
-    halves are ordered first, recursively, and the separator plane last
-    (George, SIAM J. Numer. Anal. 10, 1973).  Boxes of at most
-    ``_DISSECTION_LEAF`` nodes keep their C order.  Cached per grid shape,
-    so a solve and its initial guess share one order; the array is
-    read-only.
-    """
-    ids = np.arange(math.prod(inner_dims)).reshape(inner_dims)
-    boxes = []
-
-    def split(box):
-        sizes = [hi - lo for lo, hi in box]
-        if math.prod(sizes) <= _DISSECTION_LEAF:
-            boxes.append(box)
-            return
-        k = sizes.index(max(sizes))
-        lo, hi = box[k]
-        mid = (lo + hi) // 2
-        split(box[:k] + ((lo, mid),) + box[k + 1:])
-        split(box[:k] + ((mid + 1, hi),) + box[k + 1:])
-        boxes.append(box[:k] + ((mid, mid + 1),) + box[k + 1:])
-
-    split(tuple((0, d) for d in inner_dims))
-    order = np.concatenate(
-        [ids[tuple(slice(lo, hi) for lo, hi in box)].ravel() for box in boxes])
-    order.flags.writeable = False
-    return order
-
-
-def _unknown_order(dims, m: int) -> np.ndarray:
-    """Unknowns node*m + alpha in dissection order, a node's m kept together."""
-    order = _dissection_order(tuple(d - 2 for d in dims))
-    return (order[:, None] * m + np.arange(m)).ravel()
-
-
-def _ordered_solve(A, rhs, perm):
-    """Solve A x = rhs with a sparse LU of A[perm][:, perm] in that order.
-
-    SuperLU keeps the given column order (``NATURAL``) and its default
-    partial pivoting.  Returns x and the factor's stats: seconds to factor,
-    seconds for the triangular solves, and nonzeros.
-    """
-    start = time.perf_counter()
-    lu = spla.splu(A[perm][:, perm], permc_spec="NATURAL")
-    factored = time.perf_counter()
-    x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm])
-    return x, {"factor_s": factored - start,
-               "solve_s": time.perf_counter() - factored,
-               "factor_nnz": int(lu.nnz)}
-
-
 def _interior_derivatives(patch: GraphPatch):
     """Du (..., m, n) and Hessians (..., m, n, n) at interior nodes (1:-1).
 
-    The solver's one home of difference quotients: ``_stencil`` reads their
-    weights off this function.
+    The solver's one home of difference quotients: the Newton and Picard
+    operators apply it to a direction, and ``_laplacian_symbol`` reads the
+    preconditioner's eigenvalues off it.
     """
     U, h, n = patch.values, patch.spacing, patch.n
     unit = np.eye(n, dtype=int)
@@ -228,55 +160,6 @@ def _interior_derivatives(patch: GraphPatch):
     return Du, H
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil(n: int, h: float):
-    """The residual's difference weights at spacing h, as read-only arrays.
-
-    Returns (offsets, wD, wH): the (k, n) neighbour offsets the residual
-    reads, and the weight of u at each in Du (k, n) and in H (k, n, n).
-    They are ``_interior_derivatives`` of a 3^n patch holding 1 at the
-    offset and 0 elsewhere, so the matrices use the residual's own weights
-    bit for bit.
-    """
-    cells = 3**n
-    probe = GraphPatch(n, cells, (3,) * n, h, np.zeros(n),
-                       np.eye(cells).reshape((3,) * n + (cells,)))
-    Du, H = _interior_derivatives(probe)
-    Du, H = Du.reshape(cells, n), H.reshape(cells, n, n)
-    used = np.any(Du != 0, axis=1) | np.any(H != 0, axis=(1, 2))
-    table = (np.indices((3,) * n).reshape(n, cells).T[used] - 1, Du[used], H[used])
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
-def _stencil_matrix(dims, m: int, entries):
-    """Sparse CSC matrix over the interior unknowns node*m + alpha.
-
-    ``entries`` holds (offset, coeff) pairs with one coeff row per interior
-    node in C order.  A coeff of shape (N, m) couples unknown (node, alpha)
-    to (node + offset, alpha); one of shape (N, m, m) couples (node, alpha)
-    to (node + offset, beta) by coeff[:, alpha, beta].  Couplings to the
-    boundary layer, which holds no unknowns, are dropped.
-    """
-    ids = _node_ids(dims)
-    size = math.prod(d - 2 for d in dims) * m
-    pairs = {2: (np.arange(m), np.arange(m)),  # alpha to alpha
-             3: np.indices((m, m)).reshape(2, -1)}  # alpha to every beta
-    rows, cols, vals = [], [], []
-    for offset, coeff in entries:
-        alpha, beta = pairs[coeff.ndim]
-        nb = _shift(ids, offset).ravel()
-        ok = nb >= 0
-        rows.append((np.flatnonzero(ok)[:, None] * m + alpha).ravel())
-        cols.append((nb[ok][:, None] * m + beta).ravel())
-        vals.append(coeff[ok].reshape(-1))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    ).tocsc()
-
-
 def strong_residual_field(patch: GraphPatch) -> np.ndarray:
     """Discrete strong residual at all interior nodes, shape inner-dims + (m,)."""
     Du, H = _interior_derivatives(patch)
@@ -288,9 +171,11 @@ class SolveReport:
     """Outcome of ``solve``.
 
     ``iteration_log`` holds one dict per Newton iteration: residual, step,
-    seconds of assembly, factorization and triangular solve, and factor
-    nonzeros, summed over the Newton and Picard systems on a Picard step.
-    It is left out of ``to_dict`` because its timings vary between runs.
+    seconds to freeze the coefficients (``assemble_s``) and to run GMRES
+    (``solve_s``), GMRES iterations, and ``gmres_converged``, false when a
+    linear solve missed its tolerance (a Picard step sums both solves).
+    ``converged`` is judged on the strong residual alone.  The log is left
+    out of ``to_dict`` because its timings vary between runs.
     """
 
     iterations: int
@@ -304,55 +189,114 @@ class SolveReport:
                 for key in ("iterations", "residual", "converged", "damping_history")}
 
 
-def _assemble(patch: GraphPatch, include_gradient_terms: bool):
-    """Sparse Jacobian of the interior strong residual w.r.t. interior values.
+def _sine_transform(x, ndim: int):
+    """Unnormalized DST-I of x over its first ``ndim`` axes.
 
-    The residual is g^{kl}(Du) H_kl, and the node at offset o enters Du and
-    H with the stencil weights wD[o] and wH[o].  The principal part
-    g^{kl} wH[o]_kl couples each component to itself.  The gradient terms,
-    -2 (g^{-1} H^alpha g^{-1} Du^beta)_r wD[o]_r, differentiate g^{kl}
-    through Du and couple alpha to beta; without them this is the
-    frozen-coefficient (Picard) matrix.
+    Along an axis of N values it is -1/2 times the imaginary part of the
+    real FFT of the odd extension (0, x, 0, -x reversed) at entries 1..N.
+    ``numpy.fft`` keeps ``scipy.fft``'s import cost off every CLI start.
     """
-    n, m = patch.n, patch.m
-    offsets, wD, wH = _stencil(n, patch.spacing)
+    for axis in range(ndim):
+        x = np.moveaxis(x, axis, -1)
+        size = x.shape[-1]
+        odd = np.zeros(x.shape[:-1] + (2 * size + 2,))
+        odd[..., 1:size + 1] = x
+        odd[..., size + 2:] = -x[..., ::-1]
+        x = np.moveaxis(np.fft.rfft(odd)[..., 1:size + 1].imag / -2, -1, axis)
+    return x
+
+
+@functools.lru_cache(maxsize=4)
+def _laplacian_symbol(dims: tuple, spacing: float) -> np.ndarray:
+    """Eigenvalues of L = tr H (zero boundary values) per sine mode, read-only.
+
+    Read off ``_interior_derivatives`` as DST(L delta) / DST(delta) for a
+    unit delta at the first interior node, and scaled by the transform's
+    round-trip factor, the product of (N + 1)/2 over the axes.
+    """
+    n = len(dims)
+    unit = GraphPatch(n, 1, dims, spacing, np.zeros(n), np.zeros(dims + (1,)))
+    unit.values[(1,) * n] = 1.0
+    _, H = _interior_derivatives(unit)
+    delta = _shift(unit.values, [0] * n)
+    symbol = (_sine_transform(np.trace(H, axis1=-2, axis2=-1), n)
+              / _sine_transform(delta, n))[..., 0]
+    symbol *= np.prod([(size + 1) / 2 for size in delta.shape[:-1]])
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _poisson_solve(patch: GraphPatch, f) -> np.ndarray:
+    """L^{-1} f for each component of f (inner dims + (m,)), L = tr H."""
+    symbol = _laplacian_symbol(patch.dims, patch.spacing)[..., None]
+    return _sine_transform(_sine_transform(f, patch.n) / symbol, patch.n)
+
+
+def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
+    """The strong residual's derivative at ``patch``, as a map v -> J v.
+
+    The residual is g^{kl}(Du) H_kl.  A direction v (flat interior values,
+    zero on the boundary) enters through Dv and Hv from
+    ``_interior_derivatives``.  The principal part g^{kl} Hv^alpha_kl acts
+    on each component; the gradient terms -2 (g^{-1} H^alpha g^{-1}
+    Du^beta)_r Dv^beta_r differentiate g^{kl} through Du.  Both
+    coefficients are frozen here; without the gradient terms this is the
+    frozen-coefficient (Picard) operator.
+    """
     Du, H = _interior_derivatives(patch)
     ginv = np.linalg.inv(induced_metric(Du)[0])
-    n_nodes = math.prod(Du.shape[:-2])
-    principal = np.einsum("...kl,okl->...o", ginv, wH).reshape(n_nodes, -1)
     if include_gradient_terms:
         w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
         coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
-        coeff = coeff.reshape(n_nodes, m, m, n)
-    entries = []
-    for o, offset in enumerate(offsets):
-        p = principal[:, o]
-        if include_gradient_terms and wD[o].any():
-            entries.append((offset, coeff @ wD[o] + p[:, None, None] * np.eye(m)))
-        else:
-            entries.append((offset, np.repeat(p[:, None], m, axis=1)))
-    return _stencil_matrix(patch.dims, m, entries)
+    direction = GraphPatch(patch.n, patch.m, patch.dims, patch.spacing,
+                           patch.origin, np.zeros_like(patch.values))
+    inner = _shift(direction.values, [0] * patch.n)  # a view: written below
+
+    def action(v):
+        inner[...] = v.reshape(inner.shape)
+        Dv, Hv = _interior_derivatives(direction)
+        out = np.einsum("...kl,...akl->...a", ginv, Hv)
+        if include_gradient_terms:
+            out += np.einsum("...abr,...br->...a", coeff, Dv)
+        return out.ravel()
+
+    return action
+
+
+def _krylov_solve(patch: GraphPatch, action, rhs):
+    """Solve action(x) = rhs (inner dims + (m,)) by preconditioned GMRES.
+
+    Returns x and its stats: seconds, GMRES iterations, and whether the
+    relative residual reached ``_GMRES_RTOL`` within ``_GMRES_CYCLES``
+    restarts of ``_GMRES_RESTART`` iterations.
+    """
+    shape, size = rhs.shape, rhs.size
+
+    def precondition(r):
+        return _poisson_solve(patch, r.reshape(shape)).ravel()
+
+    steps = []
+    start = time.perf_counter()
+    x, info = spla.gmres(
+        spla.LinearOperator((size, size), matvec=action, dtype=float), rhs.ravel(),
+        rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
+        M=spla.LinearOperator((size, size), matvec=precondition, dtype=float),
+        callback=steps.append, callback_type="pr_norm")
+    return x.reshape(shape), {"solve_s": time.perf_counter() - start,
+                              "gmres_iterations": len(steps),
+                              "gmres_converged": info == 0}
 
 
 def harmonic_initial_guess(patch: GraphPatch) -> None:
     """Replace the interior by the discrete harmonic extension of the boundary.
 
-    One correction: delta solves L delta = -tr H(u) with zero boundary
-    values, L the trace of the residual's H stencil, and is added to the
-    interior.  Exact for affine boundary data, like the multilinear
-    interpolant, and one deterministic sparse solve for any n: one factor
-    of L serves all m components.
+    One correction: delta = L^{-1}(-tr H(u)) with zero boundary values, by
+    one sine-transform solve per component, added to the interior.  Exact
+    for affine boundary data, like the multilinear interpolant.
     """
-    offsets, _, wH = _stencil(patch.n, patch.spacing)
-    inner = _shift(patch.values, [0] * patch.n)  # a view: written in place below
-    n_nodes = math.prod(inner.shape[:-1])
-    A = _stencil_matrix(patch.dims, 1, [
-        (offset, np.full((n_nodes, 1), weight))
-        for offset, weight in zip(offsets, np.trace(wH, axis1=1, axis2=2)) if weight])
     _, H = _interior_derivatives(patch)
-    rhs = -np.trace(H, axis1=-2, axis2=-1).reshape(n_nodes, patch.m)
-    delta, _ = _ordered_solve(A, rhs, _unknown_order(patch.dims, 1))
-    inner += delta.reshape(inner.shape)
+    _shift(patch.values, [0] * patch.n)[...] += _poisson_solve(
+        patch, -np.trace(H, axis1=-2, axis2=-1))
 
 
 def solve(
@@ -367,24 +311,24 @@ def solve(
     strong residual sup-norm drops below ``tol``.  A Newton step of length t
     is accepted when it lowers the residual by the factor 1 - 1e-4 t; from
     t = 1 it is halved down to 2^-10, above the residual's rounding noise,
-    and then a frozen-coefficient Picard step is tried.  Divergence
-    (residual above 10x the best for 20 consecutive iterations) aborts with
-    the best iterate restored.
+    and then a frozen-coefficient Picard step is tried.  Each linear step
+    is one ``_krylov_solve`` of ``_jacobian_action``.  Divergence (residual
+    above 10x the best for 20 consecutive iterations) aborts with the best
+    iterate restored.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if initial_guess:
         harmonic_initial_guess(patch)
     inner = tuple(slice(1, -1) for _ in range(patch.n))
-    perm = _unknown_order(patch.dims, patch.m)
 
     def linear_step(R, include_gradient_terms):
         start = time.perf_counter()
-        A = _assemble(patch, include_gradient_terms)
+        action = _jacobian_action(patch, include_gradient_terms)
         assembled = time.perf_counter() - start
-        delta, stats = _ordered_solve(A, -R.reshape(-1), perm)
+        delta, stats = _krylov_solve(patch, action, -R)
         stats["assemble_s"] = assembled
-        return delta.reshape(R.shape), stats
+        return delta, stats
 
     R = strong_residual_field(patch)
     res_norm = float(np.max(np.abs(R))) if R.size else 0.0
@@ -412,7 +356,9 @@ def solve(
             # Picard fallback: freeze coefficients, drop the gradient terms
             patch.values[inner] = base
             delta, picard = linear_step(R, include_gradient_terms=False)
-            stats = {key: stats[key] + picard[key] for key in stats}
+            stats = dict({key: stats[key] + picard[key] for key in stats},
+                         gmres_converged=stats["gmres_converged"]
+                         and picard["gmres_converged"])
             patch.values[inner] = base + delta
             trial = strong_residual_field(patch)
             trial_norm = float(np.max(np.abs(trial)))

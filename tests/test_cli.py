@@ -140,9 +140,34 @@ def test_solve_logs_each_newton_iteration(tmp_path):
     assert lines[-1]["residual"] == report["residual"]
     for entry in lines:
         assert set(entry) == {"iteration", "residual", "step", "assemble_s",
-                              "factor_s", "solve_s", "factor_nnz"}
-        assert min(entry["assemble_s"], entry["factor_s"], entry["solve_s"]) >= 0.0
-        assert entry["factor_nnz"] >= 15 * 15 * 2
+                              "solve_s", "gmres_iterations", "gmres_converged"}
+        assert min(entry["assemble_s"], entry["solve_s"]) >= 0.0
+        assert entry["gmres_iterations"] >= 1
+        assert entry["gmres_converged"] is True
+
+
+def test_solve_logs_a_missed_gmres_tolerance(tmp_path, monkeypatch):
+    # two GMRES iterations and no restart cannot reach the relative
+    # tolerance: run.log must flag every linear solve, while the report
+    # judges convergence on the strong residual of the solved patch
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "_GMRES_CYCLES", 1)
+    cfg = write_cfg(tmp_path, "solve.json",
+                    {"model": "slag-exp", "origin": [0, 0], "dims": [17, 17],
+                     "spacing": 0.0625})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "solve_report.json").read_text())
+    assert set(report) == {"iterations", "residual", "converged", "damping_history"}
+    lines = [json.loads(line) for line in (out / "run.log").read_text().splitlines()
+             if line.startswith("{")]
+    assert len(lines) == report["iterations"] >= 1
+    assert [entry["gmres_converged"] for entry in lines] == [False] * len(lines)
+    assert all(entry["gmres_iterations"] == 2 for entry in lines)
+    patch = solver.load_patch(out / "solved.json")
+    residual = float(np.max(np.abs(solver.strong_residual_field(patch))))
+    assert report["residual"] == residual
+    assert report["converged"] is (residual <= solver.DEFAULT_TOL)
 
 
 def test_solve_non_convergence_exit_code(tmp_path):

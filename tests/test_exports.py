@@ -23,6 +23,8 @@ REMOVED = {
     "model_graph_plane_basis",
     # solver
     "weak_harmonicity_defect", "divergence_residual_field", "_flux_field",
+    "_dissection_order", "_unknown_order", "_ordered_solve", "_DISSECTION_LEAF",
+    "_stencil", "_stencil_matrix", "_assemble", "_node_ids",
 }
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from mingraph import solver
 from mingraph.grassmann import induced_metric
@@ -313,90 +312,45 @@ def test_weak_harmonicity_defect_matches_node_loop(dims):
             weak_defect_node_loop(patch, alpha), rel=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(3, 3), (4, 7), (9, 6), (15, 15, 15), (5, 4, 6, 3)])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_unknown_order_is_a_permutation_with_nodes_together(dims, m):
-    n_nodes = math.prod(d - 2 for d in dims)
-    perm = solver._unknown_order(dims, m)
-    assert np.array_equal(np.sort(perm), np.arange(n_nodes * m))
-    # each node's m unknowns node*m + alpha sit next to each other, in order
-    blocks = perm.reshape(n_nodes, m)
-    assert np.all(blocks[:, 0] % m == 0)
-    assert np.array_equal(blocks, blocks[:, :1] + np.arange(m))
+@pytest.mark.parametrize("dims", [(9, 6), (7, 5, 6), (5, 6, 4, 7)])
+def test_poisson_solve_inverts_the_residual_laplacian(dims):
+    # the sine-transform solve inverts tr H of _interior_derivatives with
+    # zero boundary values, on unequal axes, for every component
+    n, m = len(dims), 2
+    patch = solver.GraphPatch(n, m, dims, 0.3, np.zeros(n), np.zeros(dims + (m,)))
+    f = np.random.default_rng(n).standard_normal(tuple(d - 2 for d in dims) + (m,))
+    patch.values[tuple(slice(1, -1) for _ in dims)] = solver._poisson_solve(patch, f)
+    _, H = solver._interior_derivatives(patch)
+    laplacian = np.trace(H, axis1=-2, axis2=-1)
+    assert np.max(np.abs(laplacian - f)) <= 1e-12 * np.max(np.abs(f))
 
 
-def test_dissection_order_puts_the_middle_plane_last():
-    # 13^3 interior: the first split is the plane x0 = 6, numbered last, and
-    # the two halves x0 < 6 and x0 > 6 come before it, in that order
-    order = solver._dissection_order((13, 13, 13))
-    x0 = np.unravel_index(order, (13, 13, 13))[0]
-    assert np.all(x0[-13 * 13:] == 6)
-    assert np.all(x0[: 6 * 13 * 13] < 6)
-    assert np.all(x0[6 * 13 * 13 : -13 * 13] > 6)
-    assert not order.flags.writeable
-
-
-def quadratic_patch_3d(nodes):
-    """m = 2 data b.x + x^T Q x on [0, 1]^3 with nonzero traces (not harmonic)."""
-    Q = np.array([[[0.6, 0.3, -0.2], [0.3, 0.2, 0.4], [-0.2, 0.4, -0.1]],
-                  [[-0.3, 0.2, 0.5], [0.2, 0.7, -0.3], [0.5, -0.3, 0.4]]])
-    B = np.array([[0.3, -0.2, 0.1], [-0.1, 0.25, 0.2]])
-    dims = (nodes,) * 3
-    patch = solver.GraphPatch(3, 2, dims, 1.0 / (nodes - 1), np.zeros(3),
-                              np.zeros(dims + (2,)))
-    x = patch.node_coords()
-    patch.values[:] = np.stack(
-        [x @ B[a] + np.einsum("...i,ij,...j->...", x, Q[a], x) for a in range(2)],
-        axis=-1)
-    patch.values[1:-1, 1:-1, 1:-1] = 0.0
-    return patch
-
-
-def newton_system(patch):
-    """The first Newton matrix and right side, from the harmonic initial guess."""
-    solver.harmonic_initial_guess(patch)
-    A = solver._assemble(patch, include_gradient_terms=True)
-    return A, -solver.strong_residual_field(patch).reshape(-1)
-
-
-def test_ordered_solve_matches_colamd_reference():
-    slag = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], (33, 33), 1 / 32)
-    slag.values[1:-1, 1:-1] = 0.0
-    for patch in (slag, quadratic_patch_3d(17)):
-        A, b = newton_system(patch)
-        perm = solver._unknown_order(patch.dims, patch.m)
-        x, stats = solver._ordered_solve(A, b, perm)
-        reference = spla.splu(A)  # SuperLU's default COLAMD column order
-        expected = reference.solve(b)
-        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-        if patch.n == 3:
-            # 17^3 with m = 2: nested dissection has far less fill than COLAMD
-            assert stats["factor_nnz"] < 0.6 * reference.nnz
-
-
-def test_picard_fallback_converges_through_the_ordered_factor(monkeypatch):
-    # a negated Newton matrix turns every damped Newton step into an ascent
+def test_picard_fallback_converges_through_the_krylov_solve(monkeypatch):
+    # a negated Newton action turns every damped Newton step into an ascent
     # step, so the first two iterations fall back to the frozen-coefficient
     # Picard step; later ones run plain Newton
-    assemble = solver._assemble
+    jacobian_action = solver._jacobian_action
     negated = []
 
     def negated_newton(patch, include_gradient_terms):
-        A = assemble(patch, include_gradient_terms)
+        action = jacobian_action(patch, include_gradient_terms)
         if include_gradient_terms and len(negated) < 2:
-            negated.append(A.shape)
-            return -A
-        return A
+            negated.append(patch.dims)
+            return lambda v: -action(v)
+        return action
 
-    specs = []
-    splu = spla.splu
+    solves = []
+    krylov_solve = solver._krylov_solve
 
-    def recording_splu(A, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return splu(A, **kwargs)
+    def counting_solve(patch, action, rhs):
+        # the second solve, the first Picard one, reports a missed tolerance
+        x, stats = krylov_solve(patch, action, rhs)
+        solves.append(rhs.shape)
+        return x, dict(stats, gmres_converged=stats["gmres_converged"]
+                       and len(solves) != 2)
 
-    monkeypatch.setattr(solver, "_assemble", negated_newton)
-    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(solver, "_jacobian_action", negated_newton)
+    monkeypatch.setattr(solver, "_krylov_solve", counting_solve)
     slag = model_slag_exp()
     patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
     exact = patch.values.copy()
@@ -407,23 +361,25 @@ def test_picard_fallback_converges_through_the_ordered_factor(monkeypatch):
     assert all(step == 1.0 for step in report.damping_history[2:])
     residuals = [entry["residual"] for entry in report.iteration_log]
     assert residuals == sorted(residuals, reverse=True)
-    # the initial guess, then a Newton and a Picard factor per fallback step
-    assert len(specs) == 1 + 2 * 2 + (report.iterations - 2)
-    assert set(specs) == {"NATURAL"}
+    # a Newton and a Picard solve per fallback step, then one per Newton step
+    assert len(solves) == 2 * 2 + (report.iterations - 2)
+    # a Picard step's log entry flags a miss of either of its two solves
+    flags = [entry["gmres_converged"] for entry in report.iteration_log]
+    assert flags == [False] + [True] * (report.iterations - 1)
     assert np.max(np.abs(patch.values - exact)) < 1e-3
 
 
 def test_ascent_directions_reach_picard_every_iteration(monkeypatch):
-    # with the Newton matrix negated on every iteration no Newton step may
+    # with the Newton action negated on every iteration no Newton step may
     # pass the sufficient-decrease test, however small the residual: each
     # iteration must end in the Picard fallback, which converges on its own
-    assemble = solver._assemble
+    jacobian_action = solver._jacobian_action
 
     def negated_newton(patch, include_gradient_terms):
-        A = assemble(patch, include_gradient_terms)
-        return -A if include_gradient_terms else A
+        action = jacobian_action(patch, include_gradient_terms)
+        return (lambda v: -action(v)) if include_gradient_terms else action
 
-    monkeypatch.setattr(solver, "_assemble", negated_newton)
+    monkeypatch.setattr(solver, "_jacobian_action", negated_newton)
     slag = model_slag_exp()
     patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
     exact = patch.values.copy()
@@ -435,14 +391,14 @@ def test_ascent_directions_reach_picard_every_iteration(monkeypatch):
 
 
 def scaled_linear_steps(monkeypatch, factor):
-    """Make every ordered solve return ``factor`` times its solution."""
-    ordered_solve = solver._ordered_solve
+    """Make every Krylov solve return ``factor`` times its solution."""
+    krylov_solve = solver._krylov_solve
 
-    def scaled(A, rhs, perm):
-        x, stats = ordered_solve(A, rhs, perm)
+    def scaled(patch, action, rhs):
+        x, stats = krylov_solve(patch, action, rhs)
         return factor * x, stats
 
-    monkeypatch.setattr(solver, "_ordered_solve", scaled)
+    monkeypatch.setattr(solver, "_krylov_solve", scaled)
 
 
 def slag_patch_from_harmonic_guess():
@@ -512,11 +468,19 @@ def central_difference_jacobian(patch, eps=1e-6):
     return np.stack(columns, axis=1)
 
 
+def action_matrix(patch, include_gradient_terms):
+    """The matrix of ``_jacobian_action``, one unit direction per column."""
+    action = solver._jacobian_action(patch, include_gradient_terms)
+    size = math.prod(d - 2 for d in patch.dims) * patch.m
+    return np.stack([action(unit) for unit in np.eye(size)], axis=1)
+
+
 @pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_newton_matrix_is_the_residual_jacobian(dims, m):
+    # the Newton action, applied column by column, against central differences
     patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
-    A = solver._assemble(patch, include_gradient_terms=True).toarray()
+    A = action_matrix(patch, include_gradient_terms=True)
     J = central_difference_jacobian(patch)
     assert np.max(np.abs(A - J)) <= 1e-8 * np.max(np.abs(A))
 
@@ -524,8 +488,8 @@ def test_newton_matrix_is_the_residual_jacobian(dims, m):
 @pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_picard_matrix_applies_the_frozen_metric(dims, m):
-    # A delta = g0^{ij} D_ij delta, with g0 = g(Du) of the patch frozen and
-    # delta zero on the boundary
+    # the Picard action maps delta to g0^{ij} D_ij delta, with g0 = g(Du) of
+    # the patch frozen and delta zero on the boundary
     patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
     Du, _ = solver._interior_derivatives(patch)
     ginv = np.linalg.inv(induced_metric(Du)[0])
@@ -535,9 +499,28 @@ def test_picard_matrix_applies_the_frozen_metric(dims, m):
     delta.values[inner] = np.random.default_rng(m).standard_normal(Du.shape[:-1])
     _, H = solver._interior_derivatives(delta)
     expected = np.einsum("...kl,...akl->...a", ginv, H).ravel()
-    picard = solver._assemble(patch, include_gradient_terms=False)
-    got = picard @ delta.values[inner].ravel()
+    picard = solver._jacobian_action(patch, include_gradient_terms=False)
+    got = picard(delta.values[inner].ravel())
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dims", [(33, 33), (9, 8, 7), (7, 6, 7, 5)])
+def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims):
+    # preconditioned GMRES solves a Newton system to the relative tolerance
+    # on its true residual, well inside one restart cycle: the first slag-exp
+    # step in 2-D, smooth data in 3-D and 4-D
+    if len(dims) == 2:
+        patch = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], dims, 1 / 32)
+        solver.harmonic_initial_guess(patch)
+    else:
+        patch = smooth_patch(dims, 2, seed=len(dims))
+    action = solver._jacobian_action(patch, include_gradient_terms=True)
+    rhs = -solver.strong_residual_field(patch)
+    x, stats = solver._krylov_solve(patch, action, rhs)
+    assert stats["gmres_converged"]
+    assert stats["gmres_iterations"] <= 40
+    residual = np.linalg.norm(action(x.ravel()) - rhs.ravel())
+    assert residual <= solver._GMRES_RTOL * np.linalg.norm(rhs)
 
 
 def test_solver_stencil_has_one_home():
@@ -555,7 +538,7 @@ def test_solve_4d_cone_from_exact_boundary_data():
     # the Lawson-Osserman cone from exact boundary data, away from its vertex
     cone = model_lawson_osserman()
     errs = []
-    for nodes in (5, 7):
+    for nodes in (5, 7, 9, 11):
         patch = solver.GraphPatch.from_model(cone, [0.5, 0.2, -0.3, 0.4],
                                              (nodes,) * 4, 1.0 / (nodes - 1))
         exact = patch.values.copy()
@@ -566,3 +549,5 @@ def test_solve_4d_cone_from_exact_boundary_data():
         errs.append(np.max(np.abs(patch.values - exact)))
     assert errs[1] <= 1.2e-3
     assert errs[0] >= 1.5 * errs[1]
+    # second order: the error falls like h^2 from 8 to 10 cells per axis
+    assert errs[2] / errs[3] >= 0.9 * (10 / 8) ** 2
