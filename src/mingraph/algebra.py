@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from mingraph.grassmann import induced_metric
-from mingraph.util import chunk_ranges, run_chunks
+from mingraph.util import _unbatch, chunk_ranges, run_chunks
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
 CONSTRAINT_SLACK = 1e-12  # keeps exact equality loci admissible under rounding
@@ -222,21 +222,18 @@ def scan_mu123_lambda(
 
 
 def _pad_h(lam, h):
+    """Checked float lam (..., n) and h (..., m, n, n), h zero-padded to n >= m."""
     lam = np.asarray(lam, dtype=float)
     h = np.asarray(h, dtype=float)
-    single = h.ndim == 3
-    if single:
-        lam = lam[None]
-        h = h[None]
-    b, m, n, n2 = h.shape
-    if n != n2 or lam.shape != (b, n):
+    if (h.ndim < 3 or h.shape[-1] != h.shape[-2]
+            or lam.shape != h.shape[:-3] + h.shape[-1:]):
         raise ValueError(f"shape mismatch: lam {lam.shape}, h {h.shape}")
     if np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0) != 0.0:
         raise ValueError("h must be exactly symmetric in its last two indices")
-    p = max(m, n)
-    if p > m:  # convention: h_{alpha, . .} = 0 for alpha > m
-        h = np.concatenate([h, np.zeros((b, p - m, n, n))], axis=1)
-    return lam, h, single, m, n
+    m, n = h.shape[-3:-1]
+    if n > m:  # convention: h_{alpha, . .} = 0 for alpha > m
+        h = np.concatenate([h, np.zeros(h.shape[:-3] + (n - m, n, n))], axis=-3)
+    return lam, h, n
 
 
 def delta_logv_rhs(lam, h, return_parts: bool = False):
@@ -245,61 +242,61 @@ def delta_logv_rhs(lam, h, return_parts: bool = False):
     rhs = |B|^2 + sum_{i,j} lam_i^2 h_{i,ij}^2
         + sum_{l, i != j} lam_i lam_j h_{i,jl} h_{j,il}.
 
-    Accepts a single (lam (n,), h (m,n,n)) pair or batches with a leading
-    axis.  With ``return_parts`` also returns the four-term regrouping
-    (normal-excess, diagonal, ordered-pair, distinct-triple); the two always
-    agree to rounding and that agreement is asserted.
+    Broadcasts over leading axes; a single (lam (n,), h (m,n,n)) pair gives a
+    float.  With ``return_parts`` also returns the four-term regrouping
+    (normal-excess, diagonal, ordered-pair, distinct-triple), shape (..., 4);
+    the two always agree to rounding and that agreement is asserted.
     """
-    lam, h, single, m, n = _pad_h(lam, h)
-    hn = h[:, :n]  # tangent-indexed block h_{i, jl}, i <= n
+    lam, h, n = _pad_h(lam, h)
+    hn = h[..., :n, :, :]  # tangent-indexed block h_{i, jl}, i <= n
     lam2 = lam**2
-    ll = lam[:, :, None] * lam[:, None, :]
+    ll = lam[..., :, None] * lam[..., None, :]
     off = 1.0 - np.eye(n)
 
-    b2 = np.einsum("baij,baij->b", h, h)
-    hiil = np.einsum("biil->bil", hn)  # h_{i, il}
-    term2 = np.einsum("bi,bil,bil->b", lam2, hiil, hiil)
-    cross = np.einsum("bijl,bjil->bij", hn, hn)  # sum_l h_{i,jl} h_{j,il}
-    term3 = np.einsum("bij,bij,ij->b", ll, cross, off)
+    b2 = np.einsum("...aij,...aij->...", h, h)
+    hiil = np.einsum("...iil->...il", hn)  # h_{i, il}
+    term2 = np.einsum("...i,...il,...il->...", lam2, hiil, hiil)
+    cross = np.einsum("...ijl,...jil->...ij", hn, hn)  # sum_l h_{i,jl} h_{j,il}
+    term3 = np.einsum("...ij,...ij,ij->...", ll, cross, off)
     rhs = b2 + term2 + term3
 
-    diag = np.einsum("biii->bi", hn)  # h_{i, ii}
-    part_normal = np.einsum("baij,baij->b", h[:, n:], h[:, n:])
-    part_diag = np.einsum("bi,bi->b", 1.0 + lam2, diag**2)
-    hiij = np.einsum("biij->bij", hn)  # h_{i, ij} = h_{i, ji}
-    hjii = np.einsum("bjii->bji", hn).transpose(0, 2, 1)  # (b, i, j) = h_{j, ii}
+    diag = np.einsum("...iii->...i", hn)  # h_{i, ii}
+    part_normal = np.einsum("...aij,...aij->...", h[..., n:, :, :], h[..., n:, :, :])
+    part_diag = np.einsum("...i,...i->...", 1.0 + lam2, diag**2)
+    hiij = np.einsum("...iij->...ij", hn)  # h_{i, ij} = h_{i, ji}
+    hjii = np.swapaxes(np.einsum("...jii->...ji", hn), -1, -2)  # (i, j) = h_{j, ii}
     part_pair = np.einsum(
-        "ij,bij->b",
+        "ij,...ij->...",
         off,
-        (2.0 + lam2[:, :, None]) * hiij**2 + hjii**2 + 2.0 * ll * hiij * hjii,
+        (2.0 + lam2[..., :, None]) * hiij**2 + hjii**2 + 2.0 * ll * hiij * hjii,
     )
     idx = np.indices((n, n, n))
     distinct = (
         (idx[0] != idx[1]) & (idx[1] != idx[2]) & (idx[0] != idx[2])
     ).astype(float)
-    part_tri = np.einsum("kij,bkij->b", distinct, hn**2) + np.einsum(
-        "ijk,bij,bijk,bjik->b", distinct, ll, hn, hn
+    part_tri = np.einsum("kij,...kij->...", distinct, hn**2) + np.einsum(
+        "ijk,...ij,...ijk,...jik->...", distinct, ll, hn, hn
     )
     parts = np.stack([part_normal, part_diag, part_pair, part_tri], axis=-1)
     total = parts.sum(axis=-1)
     scale = 1.0 + np.abs(rhs)
     if np.max(np.abs(total - rhs) / scale, initial=0.0) > 1e-10:
         raise AssertionError("regrouped decomposition disagrees with direct value")
-    if single:
-        rhs = float(rhs[0])
-        parts = parts[0]
     if return_parts:
-        return rhs, parts
-    return rhs
+        return _unbatch(rhs), parts
+    return _unbatch(rhs)
 
 
 def lambda_lower_bound(lam, h, lam_bound: float) -> np.ndarray:
-    """Bound (1 - Lambda/sqrt(2)) |B|^2 + (1/n) sum_j (sum_i lam_i h_{i,ij})^2."""
-    lam, h, single, m, n = _pad_h(lam, h)
-    b2 = np.einsum("baij,baij->b", h, h)
-    grad = np.einsum("bi,biij->bj", lam, h[:, :n])  # sum_i lam_i h_{i,ij}
-    out = (1.0 - lam_bound / SQRT2) * b2 + np.einsum("bj,bj->b", grad, grad) / n
-    return float(out[0]) if single else out
+    """Bound (1 - Lambda/sqrt(2)) |B|^2 + (1/n) sum_j (sum_i lam_i h_{i,ij})^2.
+
+    Broadcasts like ``delta_logv_rhs``; a single point gives a float.
+    """
+    lam, h, n = _pad_h(lam, h)
+    b2 = np.einsum("...aij,...aij->...", h, h)
+    grad = np.einsum("...i,...iij->...j", lam, h[..., :n, :, :])  # lam_i h_{i,ij}
+    out = (1.0 - lam_bound / SQRT2) * b2 + np.einsum("...j,...j->...", grad, grad) / n
+    return _unbatch(out)
 
 
 def _sample_h(rng, count: int, m: int, n: int) -> np.ndarray:
@@ -422,15 +419,11 @@ def check_lambda_inequality(
 
 
 def xi11(a: np.ndarray) -> np.ndarray:
-    """xi_11 = sqrt(det b) * sum_i b^{i1} a_{1i} with b = I + a^T a (batched)."""
+    """xi_11 = sqrt(det b) * sum_i b^{i1} a_{1i} with b = I + a^T a; broadcasts."""
     a = np.asarray(a, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
     b, log_v = induced_metric(a)
-    first = np.linalg.solve(b, a[:, 0, :, None])[..., 0]  # (b^{-1} a_1)_j
-    out = np.exp(log_v) * first[:, 0]
-    return float(out[0]) if single else out
+    first = np.linalg.solve(b, a[..., 0, :, None])[..., 0]  # (b^{-1} a_1)_j
+    return _unbatch(np.exp(log_v) * first[..., 0])
 
 
 def _dilation_and_detb(a: np.ndarray):

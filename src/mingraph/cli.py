@@ -83,12 +83,7 @@ def _get_model(cfg):
     if not isinstance(label, str):
         raise InvalidConfigError("config needs a 'model' label")
     try:
-        params = cfg.get("model_params", {})
-        if "A" in params:
-            params = dict(params, A=np.asarray(params["A"], dtype=float))
-        if params.get("b") is not None:
-            params = dict(params, b=np.asarray(params["b"], dtype=float))
-        return models.get_model(label, **params)
+        return models.get_model(label, **cfg.get("model_params", {}))
     except KeyError as exc:
         raise InvalidConfigError(str(exc)) from exc
 

@@ -16,14 +16,9 @@ import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs, lambda_lower_bound
 from mingraph.grassmann import induced_metric, slope, two_dilation
-from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum
+from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch
 
 _CHUNK = 50000
-
-
-def _unbatch(out):
-    """A float for an unbatched (0-d) result, else the array itself."""
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _sff(jacobian, hessian):
@@ -160,16 +155,15 @@ def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport
     model.check_domain(x)
     h, lam = _sff(model.jacobian(x), model.hessian(x))
     rhs = delta_logv_rhs(lam, h)
-    b2 = np.sum(h**2, axis=(-3, -2, -1))
-    bound = lambda_lower_bound(lam, h, lam_bound)
+    b2 = _unbatch(np.sum(h**2, axis=(-3, -2, -1)))
     return LogVReport(
         point=x,
         step=step,
         lhs=_unbatch(laplace_logv_fd(model, x, step)),
-        rhs=_unbatch(rhs),
-        b_norm2=_unbatch(b2),
-        margin_sqrt2=_unbatch(rhs - b2),
-        margin_lambda=_unbatch(rhs - bound),
+        rhs=rhs,
+        b_norm2=b2,
+        margin_sqrt2=rhs - b2,
+        margin_lambda=rhs - lambda_lower_bound(lam, h, lam_bound),
         lam_bound=lam_bound,
         spectrum=lam,
     )
@@ -214,15 +208,14 @@ def write_diagnostics_csv(model, points, path, step: float = 1e-3,
     """
     points = np.asarray(points, dtype=float)
     rep = logv_identity(model, points, step, lam_bound)
-    columns = zip(points, rep.spectrum, rep.b_norm2, rep.lhs, rep.rhs, rep.gap,
-                  rep.margin_lambda)
+    rows = zip(points, slope(rep.spectrum), two_dilation(rep.spectrum), rep.b_norm2,
+               rep.lhs, rep.rhs, rep.gap, rep.margin_lambda)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [f"x{i}" for i in range(model.n)]
             + ["v", "dilation", "B2", "lhs", "rhs", "gap", "margin_lambda"]
         )
-        for x, lam, *rest in columns:
-            row = list(x) + [slope(lam), two_dilation(lam)] + rest
-            writer.writerow([repr(float(c)) for c in row])
+        for x, *rest in rows:
+            writer.writerow([repr(float(c)) for c in list(x) + rest])
     return rep

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mingraph.util import _unbatch
+
 ORTHONORMALITY_TOL = 1e-12
 
 
@@ -44,13 +46,16 @@ def singular_spectrum(jacobian) -> np.ndarray:
 
 
 def slope(spectrum) -> float:
-    """Slope v = prod_i sqrt(1 + lambda_i^2) = sqrt(det(I + Du^T Du)) >= 1."""
+    """Slope v = prod_i sqrt(1 + lambda_i^2) = sqrt(det(I + Du^T Du)) >= 1.
+
+    Broadcasts over a (..., n) spectrum; (n,) or a bare number gives a float.
+    """
     lam = _as_spectrum(spectrum)
     # log(1 + lam^2) piecewise so that lam^2 never overflows
     big = lam > 1e150
     logs = np.where(big, 2.0 * np.log(np.where(big, lam, 1.0)),
                     np.log1p(np.where(big, 0.0, lam) ** 2))
-    return float(np.exp(0.5 * np.sum(logs)))
+    return _unbatch(np.exp(0.5 * np.sum(logs, axis=-1)))
 
 
 def induced_metric(jacobian):
@@ -87,31 +92,30 @@ def induced_metric(jacobian):
 def two_dilation(spectrum) -> float:
     """2-dilation max_{i != j} lambda_i lambda_j = lambda_1 lambda_2.
 
-    For n = 1 there is no pair, and the value is 0 by convention.
+    Broadcasts like ``slope``; for n = 1 there is no pair, and the value is 0.
     """
     lam = _as_spectrum(spectrum)
-    if lam.size < 2:
-        return 0.0
-    return float(lam[0] * lam[1])
+    if lam.shape[-1] < 2:
+        return _unbatch(np.zeros(lam.shape[:-1]))
+    return _unbatch(lam[..., 0] * lam[..., 1])
 
 
 def bernstein_condition(spectrum) -> bool:
     """Whether (lambda_1 lambda_2)^2 <= 2 Lip^2 / |Lip^2 - 1| with Lip = lambda_1.
 
-    The right-hand side is treated as +inf when lambda_1 = 1.
+    The right-hand side is treated as +inf when lambda_1 = 1.  ``spectrum``
+    is read as one flat sequence.
     """
-    lam = _as_spectrum(spectrum)
+    lam = _as_spectrum(np.ravel(spectrum))
     lip2 = float(lam[0]) ** 2
     dil2 = two_dilation(lam) ** 2
     denom = abs(lip2 - 1.0)
-    if denom == 0.0:
-        return True
-    return dil2 <= 2.0 * lip2 / denom
+    return denom == 0.0 or dil2 <= 2.0 * lip2 / denom
 
 
 def _as_spectrum(spectrum) -> np.ndarray:
-    lam = np.asarray(spectrum, dtype=float).ravel()
-    if lam.size == 0 or not np.all(np.isfinite(lam)):
+    lam = np.atleast_1d(np.asarray(spectrum, dtype=float))
+    if lam.shape[-1] == 0 or not np.all(np.isfinite(lam)):
         raise InvalidInputError("spectrum must be a nonempty finite sequence")
     if np.any(lam < -1e-15):
         raise InvalidInputError("spectrum entries must be nonnegative")

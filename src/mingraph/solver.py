@@ -133,18 +133,18 @@ def _shift(arr, offset):
     return arr[tuple(slice(1 + o, (o - 1) or None) for o in offset)]
 
 
-def _interior_derivatives(patch: GraphPatch):
+def _interior_derivatives(values, spacing: float):
     """Du (..., m, n) and Hessians (..., m, n, n) at interior nodes (1:-1).
 
     The solver's one home of difference quotients: the Newton and Picard
     operators apply it to a direction, and ``_laplacian_symbol`` reads the
     preconditioner's eigenvalues off it.
     """
-    U, h, n = patch.values, patch.spacing, patch.n
+    U, h, n = values, spacing, values.ndim - 1
     unit = np.eye(n, dtype=int)
     center = _shift(U, [0] * n)
-    Du = np.empty(center.shape[:-1] + (patch.m, n))
-    H = np.empty(center.shape[:-1] + (patch.m, n, n))
+    Du = np.empty(center.shape + (n,))
+    H = np.empty(center.shape + (n, n))
     for k in range(n):
         ek = unit[k]
         up, dn = _shift(U, ek), _shift(U, -ek)
@@ -162,7 +162,7 @@ def _interior_derivatives(patch: GraphPatch):
 
 def strong_residual_field(patch: GraphPatch) -> np.ndarray:
     """Discrete strong residual at all interior nodes, shape inner-dims + (m,)."""
-    Du, H = _interior_derivatives(patch)
+    Du, H = _interior_derivatives(patch.values, patch.spacing)
     return residual_strong(Du, H)
 
 
@@ -212,16 +212,15 @@ def _laplacian_symbol(dims: tuple, spacing: float) -> np.ndarray:
 
     Read off ``_interior_derivatives`` as DST(L delta) / DST(delta) for a
     unit delta at the first interior node, and scaled by the transform's
-    round-trip factor, the product of (N + 1)/2 over the axes.
+    round-trip factor, the product of (N + 1)/2 over axes of N interior nodes.
     """
     n = len(dims)
-    unit = GraphPatch(n, 1, dims, spacing, np.zeros(n), np.zeros(dims + (1,)))
-    unit.values[(1,) * n] = 1.0
-    _, H = _interior_derivatives(unit)
-    delta = _shift(unit.values, [0] * n)
+    delta = np.zeros(dims + (1,))
+    delta[(1,) * n] = 1.0
+    _, H = _interior_derivatives(delta, spacing)
     symbol = (_sine_transform(np.trace(H, axis1=-2, axis2=-1), n)
-              / _sine_transform(delta, n))[..., 0]
-    symbol *= np.prod([(size + 1) / 2 for size in delta.shape[:-1]])
+              / _sine_transform(_shift(delta, [0] * n), n))[..., 0]
+    symbol *= np.prod([(size - 1) / 2 for size in dims])  # N = size - 2
     symbol.flags.writeable = False
     return symbol
 
@@ -243,18 +242,17 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
     coefficients are frozen here; without the gradient terms this is the
     frozen-coefficient (Picard) operator.
     """
-    Du, H = _interior_derivatives(patch)
+    Du, H = _interior_derivatives(patch.values, patch.spacing)
     ginv = np.linalg.inv(induced_metric(Du)[0])
     if include_gradient_terms:
         w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
         coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
-    direction = GraphPatch(patch.n, patch.m, patch.dims, patch.spacing,
-                           patch.origin, np.zeros_like(patch.values))
-    inner = _shift(direction.values, [0] * patch.n)  # a view: written below
+    direction = np.zeros_like(patch.values)
+    inner = _shift(direction, [0] * patch.n)  # a view: written below
 
     def action(v):
         inner[...] = v.reshape(inner.shape)
-        Dv, Hv = _interior_derivatives(direction)
+        Dv, Hv = _interior_derivatives(direction, patch.spacing)
         out = np.einsum("...kl,...akl->...a", ginv, Hv)
         if include_gradient_terms:
             out += np.einsum("...abr,...br->...a", coeff, Dv)
@@ -294,7 +292,7 @@ def harmonic_initial_guess(patch: GraphPatch) -> None:
     one sine-transform solve per component, added to the interior.  Exact
     for affine boundary data, like the multilinear interpolant.
     """
-    _, H = _interior_derivatives(patch)
+    _, H = _interior_derivatives(patch.values, patch.spacing)
     _shift(patch.values, [0] * patch.n)[...] += _poisson_solve(
         patch, -np.trace(H, axis1=-2, axis2=-1))
 
@@ -331,7 +329,7 @@ def solve(
         return delta, stats
 
     R = strong_residual_field(patch)
-    res_norm = float(np.max(np.abs(R))) if R.size else 0.0
+    res_norm = float(np.max(np.abs(R)))
     best_vals = patch.values.copy()
     best_norm = res_norm
     history = []
@@ -341,28 +339,21 @@ def solve(
     while res_norm > tol and it < max_iter:
         it += 1
         delta, stats = linear_step(R, include_gradient_terms=True)
-        step = 1.0
         base = patch.values[inner].copy()
-        accepted = False
-        for _ in range(11):
-            patch.values[inner] = base + step * delta
+        # Newton steps 1, 1/2, ..., 2^-10, then the Picard step (-1), taken in
+        # full with the coefficients frozen at ``base`` and no gradient terms
+        for step in [0.5**k for k in range(11)] + [-1.0]:
+            if step < 0:
+                patch.values[inner] = base
+                delta, picard = linear_step(R, include_gradient_terms=False)
+                stats = dict({key: stats[key] + picard[key] for key in stats},
+                             gmres_converged=stats["gmres_converged"]
+                             and picard["gmres_converged"])
+            patch.values[inner] = base + abs(step) * delta
             trial = strong_residual_field(patch)
             trial_norm = float(np.max(np.abs(trial)))
             if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
-                accepted = True
                 break
-            step *= 0.5
-        if not accepted:
-            # Picard fallback: freeze coefficients, drop the gradient terms
-            patch.values[inner] = base
-            delta, picard = linear_step(R, include_gradient_terms=False)
-            stats = dict({key: stats[key] + picard[key] for key in stats},
-                         gmres_converged=stats["gmres_converged"]
-                         and picard["gmres_converged"])
-            patch.values[inner] = base + delta
-            trial = strong_residual_field(patch)
-            trial_norm = float(np.max(np.abs(trial)))
-            step = -1.0  # marks a Picard step in the history
         R, res_norm = trial, trial_norm
         history.append(step)
         log.append(dict(stats, iteration=it, residual=res_norm, step=step))

@@ -9,22 +9,15 @@ import numpy as np
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume omega_n of the unit n-ball, pi^{n/2} / Gamma(n/2 + 1).
-
-    Gamma at half-integers by recursion from Gamma(1/2) = sqrt(pi).
-    """
+    """Volume omega_n of the unit n-ball, pi^{n/2} / Gamma(n/2 + 1)."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if n % 2 == 0:
-        gamma = 1.0  # Gamma(1)
-        z = 1.0
-    else:
-        gamma = math.sqrt(math.pi)  # Gamma(1/2)
-        z = 0.5
-    while z < n / 2 + 1 - 1e-9:
-        gamma *= z
-        z += 1.0
-    return math.pi ** (n / 2) / gamma
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+
+
+def _unbatch(out):
+    """A float for a 0-d result, else the array: the one place kernels unbatch."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:

@@ -217,6 +217,53 @@ def test_delta_logv_rhs_requires_symmetry():
         algebra.delta_logv_rhs(np.array([1.0, 1.0]), h)
 
 
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 3), (3, 2)])
+def test_kernels_broadcast_over_leading_axes(m, n):
+    # inputs with two leading axes give the flattened batch's values bit for
+    # bit; a single point gives a Python float, equal to its batch row up to
+    # einsum's size-dependent summation order
+    rng = np.random.default_rng(10 * m + n)
+    lam = np.sort(rng.uniform(0.0, 3.0, (12, n)), axis=1)[:, ::-1]
+    h = algebra._sample_h(rng, 12, m, n)
+    a = rng.uniform(-2.0, 2.0, (12, m, n))
+    rhs, parts = algebra.delta_logv_rhs(lam, h, return_parts=True)
+    grid = (3, 4)
+    rhs2, parts2 = algebra.delta_logv_rhs(lam.reshape(grid + (n,)),
+                                          h.reshape(grid + (m, n, n)),
+                                          return_parts=True)
+    assert rhs2.tobytes() == rhs.tobytes()
+    assert parts2.shape == grid + (4,) and parts2.tobytes() == parts.tobytes()
+    pairs = [
+        (algebra.delta_logv_rhs(lam, h),
+         algebra.delta_logv_rhs(lam.reshape(grid + (n,)), h.reshape(grid + (m, n, n)))),
+        (algebra.lambda_lower_bound(lam, h, 1.2),
+         algebra.lambda_lower_bound(lam.reshape(grid + (n,)),
+                                    h.reshape(grid + (m, n, n)), 1.2)),
+        (algebra.xi11(a), algebra.xi11(a.reshape(grid + (m, n)))),
+    ]
+    for flat, nested in pairs:
+        assert nested.shape == grid and nested.tobytes() == flat.tobytes()
+    singles = [algebra.delta_logv_rhs(lam[5], h[5]),
+               algebra.delta_logv_rhs(lam[5], h[5], return_parts=True)[0],
+               algebra.lambda_lower_bound(lam[5], h[5], 1.2),
+               algebra.xi11(a[5])]
+    assert all(type(s) is float for s in singles)
+    assert singles == pytest.approx([rhs[5], rhs[5], pairs[1][0][5], pairs[2][0][5]],
+                                    rel=1e-13)
+
+
+@pytest.mark.parametrize("lam_shape, h_shape", [
+    ((4, 3), (5, 2, 3, 3)),
+    ((3,), (2, 2, 2)),
+    ((4, 2), (4, 2, 2, 3)),
+    ((3,), (3, 3)),
+], ids=["batch-shapes-differ", "spectrum-longer-than-n", "h-not-square",
+        "h-two-axes"])
+def test_pad_h_rejects_malformed_shapes(lam_shape, h_shape):
+    with pytest.raises(ValueError):
+        algebra._pad_h(np.zeros(lam_shape), np.zeros(h_shape))
+
+
 def test_sqrt2_inequality_clean_all_dims():
     for n in (2, 3):
         for m in (2, 3):

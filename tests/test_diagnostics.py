@@ -10,6 +10,7 @@ import pytest
 
 import mingraph
 from mingraph import diagnostics as dg
+from mingraph import util
 from mingraph.algebra import SQRT2, lambda_lower_bound
 from mingraph.grassmann import induced_metric
 from mingraph.models import (
@@ -225,6 +226,24 @@ def test_lambda_bound_has_one_home():
             assert own in text
             text = text.replace(own, "")
         found += [f"{path.name}: {m.group(0)}" for m in inline.finditer(text)]
+    assert found == []
+
+
+def test_unbatching_has_one_home():
+    # the pointwise kernels broadcast over leading axes: no single-point flag
+    # picks a second path, and a 0-d result becomes a float only in
+    # util._unbatch
+    own = inspect.getsource(util._unbatch)
+    flag = re.compile(r"\bsingle\s*=|\bif single\b")
+    to_float = re.compile(r"float\([^\n]*\)[ \t]+if\b|def _unbatch\b")
+    found = []
+    for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "util.py":
+            assert own in text
+            text = text.replace(own, "")
+        found += [f"{path.name}: {m.group(0)}" for pattern in (flag, to_float)
+                  for m in pattern.finditer(text)]
     assert found == []
 
 

@@ -77,6 +77,21 @@ def test_two_dilation_basic():
     assert two_dilation([5.0]) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_slope_and_two_dilation_broadcast_over_rows(n):
+    # a (k, n) batch gives each row's value bit for bit; one spectrum or a
+    # bare number still gives a Python float
+    lam = -np.sort(-np.random.default_rng(n).uniform(0.0, 3.0, (50, n)), axis=1)
+    lam[0, 0] = 1e200  # slope's overflow-free branch
+    for fn in (slope, two_dilation):
+        batch = fn(lam)
+        assert batch.shape == (50,)
+        rows = np.array([fn(row) for row in lam])
+        assert batch.tobytes() == rows.tobytes()
+        assert type(fn(lam[1])) is float and type(fn(0.5)) is float
+    assert slope(0.5) == slope([0.5]) and two_dilation(0.5) == 0.0
+
+
 def test_bernstein_condition_cases():
     assert bernstein_condition([1.0, 1.0])  # lambda_1 = 1: bound is infinite
     assert bernstein_condition([0.9, 0.9])

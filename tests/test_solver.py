@@ -28,7 +28,7 @@ def divergence_residual_field(patch) -> np.ndarray:
     Second-order central differences on the deep interior (2:-2), where the
     stencil of every node stays inside the interior flux field.
     """
-    Du, _ = solver._interior_derivatives(patch)
+    Du, _ = solver._interior_derivatives(patch.values, patch.spacing)
     g, log_v = induced_metric(Du)
     v = np.exp(log_v)
     # flux F[..., alpha, i] = v g^{ij} d_j u^alpha at interior nodes
@@ -127,7 +127,7 @@ def test_residual_strong_zero_on_minimal_models():
 def test_interior_derivatives_match_model():
     slag = model_slag_exp()
     patch = solver.GraphPatch.from_model(slag, [-1, -1], (33, 33), 2 / 32)
-    Du, H = solver._interior_derivatives(patch)
+    Du, H = solver._interior_derivatives(patch.values, patch.spacing)
     inner = patch.node_coords()[1:-1, 1:-1]
     assert np.max(np.abs(Du - slag.jacobian(inner))) < 5e-3
     assert np.max(np.abs(H - slag.hessian(inner))) < 5e-2
@@ -320,7 +320,7 @@ def test_poisson_solve_inverts_the_residual_laplacian(dims):
     patch = solver.GraphPatch(n, m, dims, 0.3, np.zeros(n), np.zeros(dims + (m,)))
     f = np.random.default_rng(n).standard_normal(tuple(d - 2 for d in dims) + (m,))
     patch.values[tuple(slice(1, -1) for _ in dims)] = solver._poisson_solve(patch, f)
-    _, H = solver._interior_derivatives(patch)
+    _, H = solver._interior_derivatives(patch.values, patch.spacing)
     laplacian = np.trace(H, axis1=-2, axis2=-1)
     assert np.max(np.abs(laplacian - f)) <= 1e-12 * np.max(np.abs(f))
 
@@ -491,13 +491,13 @@ def test_picard_matrix_applies_the_frozen_metric(dims, m):
     # the Picard action maps delta to g0^{ij} D_ij delta, with g0 = g(Du) of
     # the patch frozen and delta zero on the boundary
     patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
-    Du, _ = solver._interior_derivatives(patch)
+    Du, _ = solver._interior_derivatives(patch.values, patch.spacing)
     ginv = np.linalg.inv(induced_metric(Du)[0])
     delta = solver.GraphPatch(patch.n, m, dims, patch.spacing, patch.origin,
                               np.zeros(dims + (m,)))
     inner = tuple(slice(1, -1) for _ in dims)
     delta.values[inner] = np.random.default_rng(m).standard_normal(Du.shape[:-1])
-    _, H = solver._interior_derivatives(delta)
+    _, H = solver._interior_derivatives(delta.values, delta.spacing)
     expected = np.einsum("...kl,...akl->...a", ginv, H).ravel()
     picard = solver._jacobian_action(patch, include_gradient_terms=False)
     got = picard(delta.values[inner].ravel())
@@ -525,7 +525,8 @@ def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims):
 
 def test_solver_stencil_has_one_home():
     # difference quotients are written only in _interior_derivatives: the
-    # matrices and the harmonic guess take their weights from _stencil
+    # Newton and Picard actions, the preconditioner's eigenvalues and the
+    # harmonic guess all apply it
     own = inspect.getsource(solver._interior_derivatives)
     text = Path(solver.__file__).read_text()
     assert own in text
@@ -551,3 +552,25 @@ def test_solve_4d_cone_from_exact_boundary_data():
     assert errs[0] >= 1.5 * errs[1]
     # second order: the error falls like h^2 from 8 to 10 cells per axis
     assert errs[2] / errs[3] >= 0.9 * (10 / 8) ** 2
+
+
+def test_solve_scherk_from_exact_boundary_data():
+    # Scherk's surface u = log(cos y / cos x), m = 1 and not harmonic, on
+    # [-1.45, 1.45]^2: its slope grows toward the corners, where
+    # |u_x| = |u_y| = tan 1.45 = 8.2, and GMRES needs more iterations
+    # (22-29, 37-41 and 44-61 per step at 17, 33 and 65 nodes)
+    errs = []
+    for nodes in (17, 33, 65):
+        patch = solver.GraphPatch(2, 1, (nodes, nodes), 2.9 / (nodes - 1),
+                                  [-1.45, -1.45], np.zeros((nodes, nodes, 1)))
+        x = patch.node_coords()
+        exact = np.log(np.cos(x[..., 1:]) / np.cos(x[..., :1]))
+        patch.values[:] = exact
+        patch.values[1:-1, 1:-1] = 0.0
+        report = solver.solve(patch)
+        assert report.converged
+        assert report.damping_history == [1.0] * 5
+        assert all(entry["gmres_converged"] for entry in report.iteration_log)
+        errs.append(np.max(np.abs(patch.values - exact)))
+    # second order: the error falls like h^2 from 32 to 64 cells per axis
+    assert errs[1] / errs[2] >= 0.9 * 4
