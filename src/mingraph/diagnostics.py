@@ -16,9 +16,9 @@ import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs, lambda_lower_bound
 from mingraph.grassmann import induced_metric, slope, two_dilation
-from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch
+from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
 
-_CHUNK = 50000
+_CHUNK = 20000
 
 
 def _sff(jacobian, hessian):
@@ -54,14 +54,38 @@ def sff_components(jacobian, hessian) -> np.ndarray:
     return _sff(jacobian, hessian)[0]
 
 
+def _spd_inverse(a):
+    """Inverse of a batch (..., n, n) of symmetric matrices >= I, by Gauss-Jordan.
+
+    Every pivot is a diagonal entry of a Schur complement of a matrix >= I,
+    so it is >= 1 and no row swaps are needed.  The loops run over n and each
+    step works on whole batch columns, which on small matrices beats
+    LAPACK's one call per matrix several times over.
+    """
+    a = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+    n = a.shape[0]
+    for k in range(n):
+        # in place: column k, reduced to e_k, holds column k of the inverse
+        pivot = 1.0 / a[k, k]
+        a[k, k] = 1.0
+        a[k] *= pivot
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i, k] = 0.0
+                a[i] -= f * a[k]
+    # contiguous, which keeps _sff_norm2's matmuls on it about 10% faster
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
 def _sff_norm2(J, H, g):
     """|B|^2 (...) from J (..., m, n), H (..., m, n, n) and g = I + J^T J."""
     m, n = J.shape[-2:]
-    ginv = np.linalg.inv(g)[..., None, :, :]
+    ginv = _spd_inverse(g)[..., None, :, :]
     # Gram matrix I + J J^T of the graph normals (-grad u^a, e_a)
     gram = J @ np.swapaxes(J, -1, -2) + np.eye(m)
     w = ginv @ H @ ginv  # g^{ik} H^a_{kl} g^{lj}
-    k = np.linalg.inv(gram) @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
+    k = _spd_inverse(gram) @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
     w = w.reshape(w.shape[:-3] + (-1,))
     return np.einsum("...i,...i->...", w, k.reshape(k.shape[:-2] + (-1,)))
 
@@ -85,6 +109,8 @@ def grad_logv(jacobian, hessian) -> np.ndarray:
     """Euclidean gradient d_j log v = (1/2) tr(g^{-1} d_j g); broadcasts."""
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
+    # LAPACK here and in laplace_logv_fd, not _spd_inverse: `diagnose` runs
+    # them on a few hundred points, where it saves no time and moves report bits
     ginv = np.linalg.inv(induced_metric(J)[0])
     # d_j g_{ik} = sum_a (H[a,j,i] J[a,k] + J[a,i] H[a,j,k])
     dgj = np.einsum("...aji,...ak->...jik", H, J) + np.einsum(
@@ -175,10 +201,12 @@ def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
     Integrates |B|^2 v over {x : cutoff <= |x| <= radius} in the base, the
     cutoff ``VERTEX_CUTOFF_FRAC * radius`` excising possible cone vertices.
     |B|^2 comes from ``sff_norm2``'s frame-free formula, so each point
-    carries its relative error of about eps * (1 + lam_1^2).
+    carries its relative error of about eps * (1 + lam_1^2).  The chunks run
+    on every CPU the process may use, so memory is O(CPUs * chunk); the value
+    does not depend on the CPU count.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
 
     def integrand(x):
         J = model.jacobian(x)
@@ -186,7 +214,7 @@ def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
         return float(np.sum(_sff_norm2(J, model.hessian(x), g) * np.exp(log_v)))
 
     return _ball_midpoint_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
-                              _CHUNK, VERTEX_CUTOFF_FRAC * radius)
+                              _CHUNK, VERTEX_CUTOFF_FRAC * radius, _usable_cpus())
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):

@@ -90,8 +90,8 @@ def graph_volume(
     model domain (a cone vertex) a ball of radius 1e-3 * radius is excised
     and its largest possible contribution is folded into the error estimate.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if resolution < 32:
         raise ValueError("need at least 32 nodes per axis")
     center = np.asarray(center, dtype=float)

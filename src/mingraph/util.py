@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,13 @@ def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
     if total <= 0:
         return []
     return [(s, min(s + size, total)) for s in range(0, total, size)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_chunks(fn, chunks, threads: int = 1) -> list:
@@ -52,7 +60,7 @@ def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
     ``fn`` gets, one chunk at a time, the (k, n) cell midpoints x with
     cutoff <= |x - center| <= radius, and returns the float sum of its
     integrand there.  A chunk is a fixed range of ``chunk`` flat cell indices
-    whose midpoints are built on demand, so memory is O(chunk), not
+    whose midpoints are built on demand, so memory is O(threads * chunk), not
     O(nodes^n).  The chunks are fixed and their sums reduced pairwise in
     order, so the result does not depend on ``threads``.
     """

@@ -285,6 +285,14 @@ def test_usage_error_is_invalid_input(capsys):
     assert "no-such-command" in _error_line(capsys)
 
 
+def test_measure_non_finite_radius_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "m.json",
+                    {"model": "affine", "radii": [1.0, float("nan")], "resolution": 32})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "radius" in line and "nan" in line
+
+
 @pytest.mark.parametrize("sub", ["measure", "verify-algebra"])
 def test_threads_below_one_is_invalid_input(sub, capsys):
     for threads in ("0", "-2"):

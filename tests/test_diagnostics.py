@@ -275,6 +275,68 @@ def test_curvature_integral_runs_without_svd(monkeypatch):
     assert dg.curvature_integral(model_lawson_osserman(), 1.0, 8) > 0.0
 
 
+def test_curvature_integral_runs_without_lapack_inverse(monkeypatch):
+    def no_inv(*args, **kwargs):
+        raise AssertionError("the |B|^2 integrand needs no LAPACK inverse")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
+    assert dg.curvature_integral(model_lawson_osserman(), 1.0, 8) > 0.0
+    rng = np.random.default_rng(6)
+    J, H = rng.standard_normal((5, 3, 4)), rng.standard_normal((5, 3, 4, 4))
+    assert np.all(dg.sff_norm2(J, H + np.swapaxes(H, -1, -2)) > 0.0)
+
+
+def _rel_err(a, b):
+    """Largest entry error of each matrix relative to its largest entry."""
+    return np.max(np.abs(a - b), axis=(-2, -1)) / np.max(np.abs(b), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spd_inverse_matches_lapack(n):
+    rng = np.random.default_rng(20 + n)
+    a = rng.standard_normal((3, 4, 6, n))
+    g = np.eye(n) + np.swapaxes(a, -1, -2) @ a
+    inv = dg._spd_inverse(g)
+    assert inv.shape == g.shape
+    assert np.all(_rel_err(inv, np.linalg.inv(g)) <= 1e-14)
+    # one matrix without batch axes
+    assert np.all(_rel_err(dg._spd_inverse(g[1, 2]), np.linalg.inv(g[1, 2])) <= 1e-14)
+
+
+def test_spd_inverse_of_the_steep_plane_metric():
+    g, _ = induced_metric(1e100 * np.eye(2))
+    np.testing.assert_allclose(dg._spd_inverse(g), np.linalg.inv(g),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_curvature_integral_independent_of_cpu_count(monkeypatch):
+    seen = []
+    run_chunks = util.run_chunks
+
+    def recording_run_chunks(fn, chunks, threads=1):
+        seen.append(threads)
+        assert len(chunks) > 3
+        return run_chunks(fn, chunks, threads)
+
+    monkeypatch.setattr(util, "run_chunks", recording_run_chunks)
+    # small chunks, so that both grids hold more chunks than threads
+    monkeypatch.setattr(dg, "_CHUNK", 1000)
+    for model, nodes in ((model_lawson_osserman(), 16), (model_slag_exp(), 64)):
+        values = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dg, "_usable_cpus", lambda: cpus)
+            values.append(dg.curvature_integral(model, 1.0, nodes))
+        assert values[0] > 0.0
+        assert values[1] == values[0] and values[2] == values[0]
+    assert seen == [1, 2, 3, 1, 2, 3]
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_curvature_integral_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite"):
+        dg.curvature_integral(model_lawson_osserman(), radius, 8)
+
+
 def test_logv_identity_runs_one_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd

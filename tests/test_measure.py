@@ -179,3 +179,25 @@ def test_quadrature_memory_flat_in_resolution(monkeypatch, quadrature):
     monkeypatch.setattr(diagnostics, "_CHUNK", 4096)
     small, large = (_peak_mb(lambda: quadrature(nodes)) for nodes in (256, 512))
     assert large < 1.25 * small
+
+
+def test_curvature_integral_memory_within_one_old_chunk(monkeypatch):
+    # two chunks in flight at once must fit the budget of one 50,000-cell chunk
+    def peak(cpus, chunk):
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
+        return _peak_mb(lambda: diagnostics.curvature_integral(model_lawson_osserman(),
+                                                               2.0, 24))
+
+    two_threads = peak(2, diagnostics._CHUNK)
+    assert two_threads <= peak(1, 50000)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_graph_volume_rejects_a_non_finite_radius(monkeypatch, radius):
+    def no_quadrature(*args):
+        raise AssertionError("the radius must be checked before any quadrature")
+
+    monkeypatch.setattr(measure, "_volume_once", no_quadrature)
+    with pytest.raises(ValueError, match="finite"):
+        measure.graph_volume(model_affine(np.zeros((1, 2))), np.zeros(3), radius)
