@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from mingraph.grassmann import induced_metric
+from mingraph.grassmann import _spd_inverse, induced_metric
 from mingraph.util import _unbatch, chunk_ranges, run_chunks
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
@@ -422,8 +422,8 @@ def xi11(a: np.ndarray) -> np.ndarray:
     """xi_11 = sqrt(det b) * sum_i b^{i1} a_{1i} with b = I + a^T a; broadcasts."""
     a = np.asarray(a, dtype=float)
     b, log_v = induced_metric(a)
-    first = np.linalg.solve(b, a[..., 0, :, None])[..., 0]  # (b^{-1} a_1)_j
-    return _unbatch(np.exp(log_v) * first[..., 0])
+    first = np.einsum("...j,...j->...", _spd_inverse(b)[..., 0, :], a[..., 0, :])
+    return _unbatch(np.exp(log_v) * first)
 
 
 def _dilation_and_detb(a: np.ndarray):

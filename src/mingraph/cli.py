@@ -61,6 +61,13 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _integer(value, key: str) -> int:
+    """An integral config value: 1e5 reads as 100000, and 40.7 is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out if args.out is not None else ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -103,10 +110,10 @@ def cmd_invariants(args) -> int:
 def cmd_verify_algebra(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 1))
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
     threads = args.threads
     step = float(cfg.get("grid_step", 0.05))
-    samples = int(cfg.get("samples", 100000))
+    samples = _integer(cfg.get("samples", 100000), "samples")
     constraint = cfg.get("constraint", "sharp")
     lam_values = [float(v) for v in cfg.get("lam_values", [0.5, 1.0, 1.2, math.sqrt(2)])]
     eps_values = [float(v) for v in cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01])]
@@ -153,13 +160,14 @@ def cmd_solve(args) -> int:
         origin = cfg.get("origin")
         if dims is None or spacing is None or origin is None:
             raise InvalidConfigError("solve config needs dims, spacing, origin")
+        dims = [_integer(d, "dims") for d in dims]
         patch = solver.GraphPatch.from_model(model, origin, dims, float(spacing))
         interior = tuple(slice(1, -1) for _ in range(patch.n))
         patch.values[interior] = 0.0  # keep only the boundary data
     report = solver.solve(
         patch,
         tol=float(cfg.get("tol", solver.DEFAULT_TOL)),
-        max_iter=int(cfg.get("max_iter", 50)),
+        max_iter=_integer(cfg.get("max_iter", 50), "max_iter"),
     )
     solver.save_patch(patch, out / "solved.json")
     _write_json(out / "solve_report.json", report.to_dict())
@@ -175,7 +183,7 @@ def cmd_solve(args) -> int:
 
 def _diagnose_points(cfg, model, seed):
     pts_cfg = cfg.get("points", {})
-    count = int(pts_cfg.get("count", 100))
+    count = _integer(pts_cfg.get("count", 100), "points.count")
     rmin = float(pts_cfg.get("radius_min", 0.5))
     rmax = float(pts_cfg.get("radius_max", 2.0))
     rng = np.random.default_rng(seed)
@@ -189,7 +197,7 @@ def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     model = _get_model(cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 1))
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
     step = float(cfg.get("step", 1e-3))
     lam_bound = float(cfg.get("lam_bound", math.sqrt(2.0)))
     _log(out, f"diagnose model={model.label} seed={seed}")
@@ -206,10 +214,10 @@ def cmd_diagnose(args) -> int:
     summary["min_margin_sqrt2"] = worst_margin
     _write_json(out / "diagnose_summary.json", summary)
     print(f"diagnose: max|gap|={worst_gap:.3e} min margin={worst_margin:.3e}")
-    if gap_ceiling is not None and worst_gap > float(gap_ceiling):
+    if gap_ceiling is not None and not worst_gap <= float(gap_ceiling):
         print(f"  FAIL gap {worst_gap:.3e} exceeds {gap_ceiling}")
         return EXIT_ASSERTION
-    if margin_floor is not None and worst_margin < float(margin_floor):
+    if margin_floor is not None and not worst_margin >= float(margin_floor):
         witness = pts[np.argmin(rep.margin_sqrt2)]
         print(f"  FAIL margin {worst_margin:.3e} below {margin_floor} "
               f"at {witness.tolist()}")
@@ -224,7 +232,12 @@ def cmd_measure(args) -> int:
     radii = [float(r) for r in cfg.get("radii", [])]
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidConfigError("measure config needs strictly increasing radii")
-    resolution = int(cfg.get("resolution", 64))
+    resolution = _integer(cfg.get("resolution", 64), "resolution")
+    bounds = cfg.get("volume_lower_bounds", [])
+    for rho, _ in bounds:
+        if float(rho) not in radii:
+            raise InvalidConfigError(
+                f"volume_lower_bounds names radius {rho}, which is not in radii")
     center = cfg.get("center")
     if center is None:
         base = np.zeros(model.n)
@@ -257,7 +270,7 @@ def cmd_measure(args) -> int:
     if cfg.get("assert_monotone", True) and profile.monotonicity_margin < -band:
         print(f"  FAIL density ratio decreases by {-profile.monotonicity_margin:.3e}")
         return EXIT_ASSERTION
-    for rho, bound in cfg.get("volume_lower_bounds", []):
+    for rho, bound in bounds:
         k = radii.index(float(rho))
         vol = profile.ratios[k] * wn * radii[k] ** model.n
         if vol < float(bound):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mingraph.algebra import SQRT2, delta_logv_rhs, lambda_lower_bound
-from mingraph.grassmann import induced_metric, slope, two_dilation
+from mingraph.grassmann import _spd_inverse, induced_metric, slope, two_dilation
 from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
 
 _CHUNK = 20000
@@ -54,30 +54,6 @@ def sff_components(jacobian, hessian) -> np.ndarray:
     return _sff(jacobian, hessian)[0]
 
 
-def _spd_inverse(a):
-    """Inverse of a batch (..., n, n) of symmetric matrices >= I, by Gauss-Jordan.
-
-    Every pivot is a diagonal entry of a Schur complement of a matrix >= I,
-    so it is >= 1 and no row swaps are needed.  The loops run over n and each
-    step works on whole batch columns, which on small matrices beats
-    LAPACK's one call per matrix several times over.
-    """
-    a = np.moveaxis(a, (-2, -1), (0, 1)).copy()
-    n = a.shape[0]
-    for k in range(n):
-        # in place: column k, reduced to e_k, holds column k of the inverse
-        pivot = 1.0 / a[k, k]
-        a[k, k] = 1.0
-        a[k] *= pivot
-        for i in range(n):
-            if i != k:
-                f = a[i, k].copy()
-                a[i, k] = 0.0
-                a[i] -= f * a[k]
-    # contiguous, which keeps _sff_norm2's matmuls on it about 10% faster
-    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
-
-
 def _sff_norm2(J, H, g):
     """|B|^2 (...) from J (..., m, n), H (..., m, n, n) and g = I + J^T J."""
     m, n = J.shape[-2:]
@@ -109,9 +85,7 @@ def grad_logv(jacobian, hessian) -> np.ndarray:
     """Euclidean gradient d_j log v = (1/2) tr(g^{-1} d_j g); broadcasts."""
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
-    # LAPACK here and in laplace_logv_fd, not _spd_inverse: `diagnose` runs
-    # them on a few hundred points, where it saves no time and moves report bits
-    ginv = np.linalg.inv(induced_metric(J)[0])
+    ginv = _spd_inverse(induced_metric(J)[0])
     # d_j g_{ik} = sum_a (H[a,j,i] J[a,k] + J[a,i] H[a,j,k])
     dgj = np.einsum("...aji,...ak->...jik", H, J) + np.einsum(
         "...ai,...ajk->...jik", J, H
@@ -126,6 +100,8 @@ def laplace_logv_fd(model, x, step: float) -> np.ndarray:
     divergence uses a central difference of size ``step``, so the error is
     O(step^2).  ``x`` may be one point or a batch.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=float)
     n = model.n
 
@@ -133,7 +109,7 @@ def laplace_logv_fd(model, x, step: float) -> np.ndarray:
         J = model.jacobian(pts)
         g, log_v = induced_metric(J)
         return np.exp(log_v)[..., None] * np.einsum(
-            "...ij,...j->...i", np.linalg.inv(g), grad_logv(J, model.hessian(pts))
+            "...ij,...j->...i", _spd_inverse(g), grad_logv(J, model.hessian(pts))
         )
 
     out = np.zeros(x.shape[:-1])

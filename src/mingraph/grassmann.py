@@ -72,7 +72,7 @@ def induced_metric(jacobian):
     overflows.  A closed-form 2 x 2 log det would move report bits: on the
     slag-exp quadrature points, where g12 = 0 exactly, (1/2) log(g11 g22)
     differs from slogdet's log v at rounding level on 24-63% of the points.
-    Callers that need g^{-1} invert g themselves.
+    Callers that need g^{-1} pass g to ``_spd_inverse``.
     """
     J = np.asarray(jacobian, dtype=float)
     m, n = J.shape[-2:]
@@ -87,6 +87,30 @@ def induced_metric(jacobian):
             g[j, i] = s
     g = np.moveaxis(g, (0, 1), (-2, -1))
     return g, 0.5 * np.linalg.slogdet(g)[1]
+
+
+def _spd_inverse(a):
+    """Inverse of a batch (..., n, n) of symmetric matrices >= I, by Gauss-Jordan.
+
+    Every pivot is a diagonal entry of a Schur complement of a matrix >= I,
+    so it is >= 1 and no row swaps are needed.  The loops run over n and each
+    step works on whole batch columns, which on small matrices beats
+    LAPACK's one call per matrix several times over.
+    """
+    a = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+    n = a.shape[0]
+    for k in range(n):
+        # in place: column k, reduced to e_k, holds column k of the inverse
+        pivot = 1.0 / a[k, k]
+        a[k, k] = 1.0
+        a[k] *= pivot
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i, k] = 0.0
+                a[i] -= f * a[k]
+    # contiguous, which keeps _sff_norm2's matmuls on it about 10% faster
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
 
 
 def two_dilation(spectrum) -> float:

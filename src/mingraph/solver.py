@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from mingraph.grassmann import induced_metric
+from mingraph.grassmann import _spd_inverse, induced_metric
 from mingraph.util import grid_points
 
 DEFAULT_TOL = 1e-10
@@ -119,7 +119,7 @@ def load_patch(manifest_path) -> GraphPatch:
 
 def residual_strong(jacobian, hessian) -> np.ndarray:
     """Strong residual sum_{ij} g^{ij} H[alpha, i, j]; broadcasts over batches."""
-    ginv = np.linalg.inv(induced_metric(jacobian)[0])
+    ginv = _spd_inverse(induced_metric(jacobian)[0])
     return np.einsum("...ij,...aij->...a", ginv, np.asarray(hessian, dtype=float))
 
 
@@ -243,7 +243,7 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
     frozen-coefficient (Picard) operator.
     """
     Du, H = _interior_derivatives(patch.values, patch.spacing)
-    ginv = np.linalg.inv(induced_metric(Du)[0])
+    ginv = _spd_inverse(induced_metric(Du)[0])
     if include_gradient_terms:
         w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
         coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)

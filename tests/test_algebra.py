@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mingraph import algebra
+from mingraph.grassmann import induced_metric
 
 
 def test_phi_equality_point():
@@ -294,6 +295,22 @@ def test_xi11_diagonal_closed_form():
         a = np.diag([t, s])
         expect = math.sqrt((1 + t * t) * (1 + s * s)) * t / (1 + t * t)
         assert algebra.xi11(a) == pytest.approx(expect, rel=1e-12)
+
+
+def test_xi11_matches_the_lapack_solve():
+    # b^{-1} a_1 by np.linalg.solve as the oracle, on standard
+    # normal draws, on a_11 = 1e3 and on the sampler's near-diagonal corner;
+    # relative to the dot product's scale sqrt(det b) sum_j |b^{1j} a_1j|,
+    # which its cancellations cannot shrink
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 2000, 2, 2))
+    a[1, :, 0, 0] = 1e3
+    a[2] *= 1e-2
+    a[2, :, 0, 0] = rng.uniform(1.0, 1e3, 2000)
+    b, log_v = induced_metric(a)
+    ref = np.exp(log_v) * np.linalg.solve(b, a[..., 0, :, None])[..., 0, 0]
+    scale = np.exp(log_v) * np.sum(np.abs(np.linalg.inv(b)[..., 0, :] * a[..., 0, :]), -1)
+    assert np.all(np.abs(algebra.xi11(a) - ref) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.03, 1e-4])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line runner: exit codes and artifacts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -307,3 +308,66 @@ def test_threads_rejected_where_ignored(argv, tmp_path, capsys):
     assert code == cli.EXIT_INVALID
     assert "--threads" in _error_line(capsys)
     assert not (tmp_path / "run.log").exists()
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan")])
+def test_diagnose_bad_step_is_invalid_input(step, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": 5},
+                                             "step": step, "assert_gap_max": 1e-8})
+    assert run(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "step" in line and repr(step) in line
+
+
+@pytest.mark.parametrize("key,value", [("assert_gap_max", 1e-8),
+                                       ("assert_margin_sqrt2_min", 0.0)])
+def test_diagnose_nan_fails_its_assertion(key, value, tmp_path, capsys):
+    # slag-exp overflows out there, and the report's gap and margin are NaN
+    cfg = write_cfg(tmp_path, "diag.json", {
+        "model": "slag-exp", "points": {"count": 5, "radius_min": 700, "radius_max": 800},
+        key: value})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = run(["diagnose", "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_ASSERTION
+    assert "FAIL" in capsys.readouterr().out
+    summary = json.loads((out / "diagnose_summary.json").read_text())
+    assert math.isnan(summary["max_abs_gap"]) and math.isnan(summary["min_margin_sqrt2"])
+
+
+@pytest.mark.parametrize("sub,payload,key", [
+    ("verify-algebra", {"grid_step": 0.25, "samples": 2000.5}, "samples"),
+    ("verify-algebra", {"grid_step": 0.25, "samples": 2000, "seed": 1.5}, "seed"),
+    ("solve", {"model": "affine", "origin": [0, 0], "dims": [5, 5], "spacing": 0.25,
+               "max_iter": 2.5}, "max_iter"),
+    ("solve", {"model": "affine", "origin": [0, 0], "dims": [5, 5.5], "spacing": 0.25},
+     "dims"),
+    ("diagnose", {"model": "slag-exp", "points": {"count": 5.5}}, "points.count"),
+    ("diagnose", {"model": "slag-exp", "points": {"count": 5}, "seed": 0.5}, "seed"),
+    ("measure", {"model": "affine", "radii": [1, 2], "resolution": 40.7}, "resolution"),
+])
+def test_non_integral_config_value_is_invalid_input(sub, payload, key, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    assert run([sub, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    assert f"'{key}'" in _error_line(capsys)
+
+
+def test_integral_float_config_values_read_as_integers(tmp_path):
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.25, "samples": 2e3, "seed": 1.0,
+                                          "lam_values": [1.0], "eps_values": [0.1]})
+    assert run(["verify-algebra", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+    text = (tmp_path / "verify_algebra.json").read_text()
+    assert json.loads(text)["config"]["samples"] == 2000
+    assert '"samples": 2000,' in text and '"seed": 1,' in text
+
+
+def test_measure_checks_volume_bound_radii_first(tmp_path, capsys, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the bounds are checked before any quadrature")
+
+    monkeypatch.setattr(cli.measure, "density_profile", no_quadrature)
+    cfg = write_cfg(tmp_path, "m.json", {"model": "affine", "radii": [1.0, 2.0],
+                                          "volume_lower_bounds": [[1.5, 1.0]]})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "volume_lower_bounds" in line and "1.5" in line

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mingraph
+from mingraph import algebra, diagnostics, solver
 from mingraph.grassmann import (
     DimensionMismatchError,
     InvalidInputError,
@@ -25,6 +26,7 @@ from mingraph.grassmann import (
     slope,
     two_dilation,
 )
+from mingraph.models import model_lawson_osserman, model_slag_exp
 
 
 def test_spectrum_matches_diagonal():
@@ -222,3 +224,36 @@ def test_induced_metric_has_one_home():
             text = text.replace(own, "")
         found += [f"{path.name}: {m.group(0)}" for m in inline.finditer(text)]
     assert found == []
+
+
+def test_metric_inverse_has_one_home():
+    # every g^{-1} (and b^{-1} in xi_11) comes from grassmann._spd_inverse
+    lapack = re.compile(r"np\.linalg\.(inv|solve)\(")
+    found, homes = [], []
+    for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name}: {m.group(0)}" for m in lapack.finditer(text)]
+        homes += [path.name] * text.count("def _spd_inverse(")
+    assert found == []
+    assert homes == ["grassmann.py"]
+
+
+def test_metric_inverses_run_without_lapack(monkeypatch, tmp_path):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("g^{-1} needs no LAPACK inverse or solve")
+
+    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    rng = np.random.default_rng(15)
+    for model in (model_lawson_osserman(), model_slag_exp()):
+        x = rng.standard_normal((10, model.n))
+        x *= rng.uniform(0.5, 2.0, (10, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        rep = diagnostics.write_diagnostics_csv(model, x, tmp_path / "d.csv")
+        assert np.all(np.abs(rep.gap) < 1e-5)
+    slag = model_slag_exp()
+    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
+    patch.values[1:-1, 1:-1] = 0.0
+    assert solver.solve(patch).converged
+    x = patch.node_coords()
+    assert np.max(np.abs(solver.residual_strong(slag.jacobian(x), slag.hessian(x)))) < 1e-12
+    assert algebra.xi11_sampler(1.0, 0.1, 2000, seed=3).ok

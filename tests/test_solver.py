@@ -124,6 +124,26 @@ def test_residual_strong_zero_on_minimal_models():
     assert np.max(np.abs(r)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_residual_strong_matches_the_lapack_inverse(m, n):
+    # np.linalg.inv as the oracle, on slopes lam_1 up to 1e3.  Any inverse of
+    # g, LAPACK's too, is off by about eps cond(g) <= eps (1 + lam_1^2) of its
+    # largest entry, so the bound scales with that, relative to the sum
+    # sum |g^{ij} H_ij| that cancellations cannot shrink
+    rng = np.random.default_rng(10 * m + n)
+    u, _, vt = np.linalg.svd(rng.standard_normal((500, m, n)), full_matrices=False)
+    lam = 10.0 ** rng.uniform(-2.0, 3.0, (500, min(m, n)))
+    J = (u * lam[..., None, :]) @ vt
+    H = rng.standard_normal((500, m, n, n))
+    H = H + np.swapaxes(H, -1, -2)
+    ginv = np.linalg.inv(induced_metric(J)[0])
+    ref = np.einsum("...ij,...aij->...a", ginv, H)
+    scale = np.einsum("...ij,...aij->...a", np.abs(ginv), np.abs(H))
+    bound = 16.0 * np.finfo(float).eps * (1.0 + np.max(lam, axis=-1) ** 2)
+    assert np.all(np.abs(solver.residual_strong(J, H) - ref) <= bound[:, None] * scale)
+
+
 def test_interior_derivatives_match_model():
     slag = model_slag_exp()
     patch = solver.GraphPatch.from_model(slag, [-1, -1], (33, 33), 2 / 32)
