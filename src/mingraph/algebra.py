@@ -228,12 +228,70 @@ def _pad_h(lam, h):
     if (h.ndim < 3 or h.shape[-1] != h.shape[-2]
             or lam.shape != h.shape[:-3] + h.shape[-1:]):
         raise ValueError(f"shape mismatch: lam {lam.shape}, h {h.shape}")
-    if np.max(np.abs(h - np.swapaxes(h, -1, -2)), initial=0.0) != 0.0:
+    asym = h - np.swapaxes(h, -1, -2)
+    if np.max(np.abs(asym, out=asym), initial=0.0) != 0.0:
         raise ValueError("h must be exactly symmetric in its last two indices")
     m, n = h.shape[-3:-1]
     if n > m:  # convention: h_{alpha, . .} = 0 for alpha > m
         h = np.concatenate([h, np.zeros(h.shape[:-3] + (n - m, n, n))], axis=-3)
     return lam, h, n
+
+
+def _regrouping(c, lc, n):
+    """The four-part regrouping of rhs on ``_logv_terms``'s columns.
+
+    normal-excess  sum_{a > n} sum_{i,j} h_{a,ij}^2
+    diagonal       sum_i (1 + lam_i^2) h_{i,ii}^2
+    ordered-pair   sum_{i != j} (2 + lam_i^2) h_{i,ij}^2 + h_{j,ii}^2
+                   + 2 lam_i lam_j h_{i,ij} h_{j,ii}
+    distinct-triple  sum_{i, j, k distinct} h_{k,ij}^2 + lam_i lam_j h_{i,jk} h_{j,ik}
+    """
+    lam2 = lc * lc
+    normal, diag, pair, tri = (np.zeros(lc.shape[1:]) for _ in range(4))
+    for col in c[n:].reshape(((len(c) - n) * n * n,) + c.shape[3:]):
+        normal += col * col
+    for i in range(n):
+        diag += (1.0 + lam2[i]) * (c[i, i, i] * c[i, i, i])
+        for j in range(i + 1, n):
+            ll2 = 2.0 * lc[i] * lc[j]
+            for p, q in ((i, j), (j, i)):
+                hppq, hqpp = c[p, p, q], c[q, p, p]
+                pair += (2.0 + lam2[p]) * (hppq * hppq) + hqpp * hqpp + ll2 * (hppq * hqpp)
+            for k in range(n):
+                if k != i and k != j:  # (i, j, k) and (j, i, k): h_{k,ij} = h_{k,ji}
+                    tri += 2.0 * (c[k, i, j] * c[k, i, j]) + ll2 * (c[i, j, k] * c[j, i, k])
+    return normal, diag, pair, tri
+
+
+def _logv_terms(lam, h, n):
+    """rhs, its regrouping, |B|^2 and sum_j (sum_i lam_i h_{i,ij})^2 on columns.
+
+    Takes ``_pad_h``'s output: lam (..., n) and h (..., M, n, n) with M >= n.
+    h is read as M n n contiguous columns of the batch shape (copied once
+    unless it is stored that way, as ``_sample_h`` stores it), and every sum
+    accumulates into batch-shaped arrays, so the temporaries are at most that
+    copy plus a few arrays of the batch shape.  The regrouping
+    (``_regrouping``), shape (..., 4), is asserted to agree with rhs to 1e-10
+    relative.
+    """
+    c = np.ascontiguousarray(np.moveaxis(h, (-3, -2, -1), (0, 1, 2)))  # c[a, i, j]
+    lc = np.moveaxis(lam, -1, 0)
+    lam2 = lc * lc
+    b2, term2, term3, gsq = (np.zeros(lam.shape[:-1]) for _ in range(4))
+    for col in c.reshape((len(c) * n * n,) + c.shape[3:]):
+        b2 += col * col
+    for i in range(n):
+        hii = c[i, i]  # h_{i, il} over l
+        term2 += lam2[i] * sum(hii[l] * hii[l] for l in range(n))
+        grad = sum(lc[k] * c[k, k, i] for k in range(n))  # sum_k lam_k h_{k,ki}
+        gsq += grad * grad
+        for j in range(i + 1, n):  # sum_l h_{i,jl} h_{j,il} is symmetric in (i, j)
+            term3 += 2.0 * lc[i] * lc[j] * sum(c[i, j, l] * c[j, i, l] for l in range(n))
+    rhs = b2 + term2 + term3
+    parts = _regrouping(c, lc, n)
+    if np.max(np.abs(sum(parts) - rhs) / (1.0 + np.abs(rhs)), initial=0.0) > 1e-10:
+        raise AssertionError("regrouped decomposition disagrees with direct value")
+    return rhs, np.stack(parts, axis=-1), b2, gsq
 
 
 def delta_logv_rhs(lam, h, return_parts: bool = False):
@@ -247,61 +305,34 @@ def delta_logv_rhs(lam, h, return_parts: bool = False):
     (normal-excess, diagonal, ordered-pair, distinct-triple), shape (..., 4);
     the two always agree to rounding and that agreement is asserted.
     """
-    lam, h, n = _pad_h(lam, h)
-    hn = h[..., :n, :, :]  # tangent-indexed block h_{i, jl}, i <= n
-    lam2 = lam**2
-    ll = lam[..., :, None] * lam[..., None, :]
-    off = 1.0 - np.eye(n)
-
-    b2 = np.einsum("...aij,...aij->...", h, h)
-    hiil = np.einsum("...iil->...il", hn)  # h_{i, il}
-    term2 = np.einsum("...i,...il,...il->...", lam2, hiil, hiil)
-    cross = np.einsum("...ijl,...jil->...ij", hn, hn)  # sum_l h_{i,jl} h_{j,il}
-    term3 = np.einsum("...ij,...ij,ij->...", ll, cross, off)
-    rhs = b2 + term2 + term3
-
-    diag = np.einsum("...iii->...i", hn)  # h_{i, ii}
-    part_normal = np.einsum("...aij,...aij->...", h[..., n:, :, :], h[..., n:, :, :])
-    part_diag = np.einsum("...i,...i->...", 1.0 + lam2, diag**2)
-    hiij = np.einsum("...iij->...ij", hn)  # h_{i, ij} = h_{i, ji}
-    hjii = np.swapaxes(np.einsum("...jii->...ji", hn), -1, -2)  # (i, j) = h_{j, ii}
-    part_pair = np.einsum(
-        "ij,...ij->...",
-        off,
-        (2.0 + lam2[..., :, None]) * hiij**2 + hjii**2 + 2.0 * ll * hiij * hjii,
-    )
-    idx = np.indices((n, n, n))
-    distinct = (
-        (idx[0] != idx[1]) & (idx[1] != idx[2]) & (idx[0] != idx[2])
-    ).astype(float)
-    part_tri = np.einsum("kij,...kij->...", distinct, hn**2) + np.einsum(
-        "ijk,...ij,...ijk,...jik->...", distinct, ll, hn, hn
-    )
-    parts = np.stack([part_normal, part_diag, part_pair, part_tri], axis=-1)
-    total = parts.sum(axis=-1)
-    scale = 1.0 + np.abs(rhs)
-    if np.max(np.abs(total - rhs) / scale, initial=0.0) > 1e-10:
-        raise AssertionError("regrouped decomposition disagrees with direct value")
+    rhs, parts, _, _ = _logv_terms(*_pad_h(lam, h))
     if return_parts:
         return _unbatch(rhs), parts
     return _unbatch(rhs)
 
 
-def lambda_lower_bound(lam, h, lam_bound: float) -> np.ndarray:
+def lambda_lower_bound(lam, h, lam_bound: float, return_terms: bool = False):
     """Bound (1 - Lambda/sqrt(2)) |B|^2 + (1/n) sum_j (sum_i lam_i h_{i,ij})^2.
 
-    Broadcasts like ``delta_logv_rhs``; a single point gives a float.
+    Broadcasts like ``delta_logv_rhs``; a single point gives a float.  With
+    ``return_terms`` returns (bound, rhs, |B|^2), all from one padding of h.
     """
     lam, h, n = _pad_h(lam, h)
-    b2 = np.einsum("...aij,...aij->...", h, h)
-    grad = np.einsum("...i,...iij->...j", lam, h[..., :n, :, :])  # lam_i h_{i,ij}
-    out = (1.0 - lam_bound / SQRT2) * b2 + np.einsum("...j,...j->...", grad, grad) / n
+    rhs, _, b2, gsq = _logv_terms(lam, h, n)
+    out = (1.0 - lam_bound / SQRT2) * b2 + gsq / n
+    if return_terms:
+        return _unbatch(out), _unbatch(rhs), _unbatch(b2)
     return _unbatch(out)
 
 
 def _sample_h(rng, count: int, m: int, n: int) -> np.ndarray:
-    h = rng.uniform(-1.0, 1.0, size=(count, m, n, n))
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
+    """(u + u^T) / 2 of uniform u on [-1, 1], shape (count, m, n, n).
+
+    Stored sample axis last, as the columns ``_logv_terms`` reads, so neither
+    the symmetrization nor the kernel's column copy walks strided data.
+    """
+    u = np.moveaxis(rng.uniform(-1.0, 1.0, size=(count, m, n, n)), 0, -1).copy()
+    return np.moveaxis(0.5 * (u + np.swapaxes(u, 1, 2)), -1, 0)
 
 
 def _rejection_sample(rng, count: int, propose, accept) -> np.ndarray:
@@ -343,6 +374,25 @@ def _sampled_report(check, params, samples, seed, chunk, threads, pick=min):
                       argmin=arg, violations=sum(r[2] for r in results), seed=seed)
 
 
+def _sort_descending(x):
+    """Rows of x (k, n) sorted descending, by odd-even transposition of columns.
+
+    Each step is an exact np.maximum / np.minimum of two columns, so the rows
+    equal ``np.sort(x, axis=1)[:, ::-1]`` bit for bit; for small n it is
+    faster than ``np.sort``'s per-row calls.
+    """
+    x = np.array(x, dtype=float)
+    n = x.shape[1]
+    low = np.empty(x.shape[0])
+    for step in range(n):
+        for i in range(step % 2, n - 1, 2):
+            a, b = x[:, i], x[:, i + 1]
+            np.minimum(a, b, out=low)
+            np.maximum(a, b, out=a)
+            b[...] = low
+    return x
+
+
 def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, threads=1):
     """Smallest ``margin_fn(lam, h)`` over spectra passing ``accept`` and random h.
 
@@ -350,7 +400,7 @@ def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, thread
     """
 
     def propose(rng, size):
-        return np.sort(rng.uniform(0.0, 3.0, size=(size, n)), axis=1)[:, ::-1]
+        return _sort_descending(rng.uniform(0.0, 3.0, size=(size, n)))
 
     def chunk(rng, count):
         lam = _rejection_sample(rng, count, propose, accept)
@@ -411,7 +461,8 @@ def check_lambda_inequality(
         return lam[:, 0] * lam[:, 1] <= lam_bound + 1e-14
 
     def margin(lam, h):
-        return delta_logv_rhs(lam, h) - lambda_lower_bound(lam, h, lam_bound)
+        bound, rhs, _ = lambda_lower_bound(lam, h, lam_bound, return_terms=True)
+        return rhs - bound
 
     return _margin_report("lambda-logv",
                           {"Lambda": lam_bound, "n": n, "m": m, "tol": NONNEG_TOL},

@@ -16,11 +16,12 @@ import datetime
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from mingraph import algebra, diagnostics, measure, models, solver, suites
+from mingraph import algebra, diagnostics, measure, models, solver, suites, util
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -81,8 +82,25 @@ def _log(out: Path, message: str) -> None:
         fh.write(f"{stamp} {message}\n")
 
 
+def _finite(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a NaN or infinite float is written as null.
+
+    The run's exit code flags such a value; the rest of the report stays
+    readable by parsers that refuse NaN and Infinity.
+    """
+    text = json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _get_model(cfg):
@@ -119,19 +137,15 @@ def cmd_verify_algebra(args) -> int:
     eps_values = [float(v) for v in cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01])]
     _log(out, f"verify-algebra seed={seed} threads={threads}")
 
-    reports = [algebra.scan_mu123(step, constraint=constraint, threads=threads)]
-    reports += [algebra.scan_mu123_lambda(lam, step, threads=threads)
-                for lam in lam_values]
-    reports.append(algebra.check_sqrt2_inequality(samples, seed, threads=threads))
-    reports += [
-        algebra.check_lambda_inequality(lam, samples, seed, threads=threads)
-        for lam in lam_values
-        if lam <= math.sqrt(2.0)
-    ]
-    reports += [
-        algebra.xi11_sampler(1.0, eps, samples, seed, threads=threads)
-        for eps in eps_values
-    ]
+    # one pool over the reports, each run on one thread: a report does not
+    # depend on its thread count, and a pool per report idles on its last chunk
+    jobs = [partial(algebra.scan_mu123, step, constraint=constraint)]
+    jobs += [partial(algebra.scan_mu123_lambda, lam, step) for lam in lam_values]
+    jobs.append(partial(algebra.check_sqrt2_inequality, samples, seed))
+    jobs += [partial(algebra.check_lambda_inequality, lam, samples, seed)
+             for lam in lam_values if lam <= math.sqrt(2.0)]
+    jobs += [partial(algebra.xi11_sampler, 1.0, eps, samples, seed) for eps in eps_values]
+    reports = util.run_chunks(lambda job: job(), jobs, threads)
     payload = {"config": {"grid_step": step, "samples": samples, "seed": seed,
                           "constraint": constraint, "lam_values": lam_values,
                           "eps_values": eps_values},

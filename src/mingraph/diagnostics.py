@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mingraph.algebra import SQRT2, delta_logv_rhs, lambda_lower_bound
+from mingraph.algebra import SQRT2, lambda_lower_bound
 from mingraph.grassmann import _spd_inverse, induced_metric, slope, two_dilation
 from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
 
@@ -156,8 +156,7 @@ def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport
         raise ValueError("expected a point (n,) or a batch of points (k, n)")
     model.check_domain(x)
     h, lam = _sff(model.jacobian(x), model.hessian(x))
-    rhs = delta_logv_rhs(lam, h)
-    b2 = _unbatch(np.sum(h**2, axis=(-3, -2, -1)))
+    bound, rhs, b2 = lambda_lower_bound(lam, h, lam_bound, return_terms=True)
     return LogVReport(
         point=x,
         step=step,
@@ -165,7 +164,7 @@ def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport
         rhs=rhs,
         b_norm2=b2,
         margin_sqrt2=rhs - b2,
-        margin_lambda=rhs - lambda_lower_bound(lam, h, lam_bound),
+        margin_lambda=rhs - bound,
         lam_bound=lam_bound,
         spectrum=lam,
     )

@@ -331,8 +331,27 @@ def test_diagnose_nan_fails_its_assertion(key, value, tmp_path, capsys):
         code = run(["diagnose", "--config", cfg, "--out", str(out)])
     assert code == cli.EXIT_ASSERTION
     assert "FAIL" in capsys.readouterr().out
-    summary = json.loads((out / "diagnose_summary.json").read_text())
-    assert math.isnan(summary["max_abs_gap"]) and math.isnan(summary["min_margin_sqrt2"])
+    # the report is strict JSON: the NaN gap and margin are written as null
+    summary = json.loads((out / "diagnose_summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["max_abs_gap"] is None and summary["min_margin_sqrt2"] is None
+
+
+def _refuse_constant(token):
+    raise ValueError(f"report holds the non-JSON constant {token}")
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    payload = {"a": math.nan, "b": [1.5, -math.inf, {"c": np.float64(math.inf)}],
+               "d": (0.1, np.float64(2.0)), "e": "NaN", "f": 3}
+    path = tmp_path / "r.json"
+    cli._write_json(path, payload)
+    assert json.loads(path.read_text(), parse_constant=_refuse_constant) == {
+        "a": None, "b": [1.5, None, {"c": None}], "d": [0.1, 2.0], "e": "NaN", "f": 3}
+    # finite payloads keep the bytes json.dumps gives them
+    finite = {"x": [0.1, np.float64(1) / 3], "y": {"z": 1e-300}}
+    cli._write_json(path, finite)
+    assert path.read_text() == json.dumps(finite, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("sub,payload,key", [
