@@ -228,6 +228,8 @@ def _pad_h(lam, h):
     if (h.ndim < 3 or h.shape[-1] != h.shape[-2]
             or lam.shape != h.shape[:-3] + h.shape[-1:]):
         raise ValueError(f"shape mismatch: lam {lam.shape}, h {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h must be finite")
     asym = h - np.swapaxes(h, -1, -2)
     if np.max(np.abs(asym, out=asym), initial=0.0) != 0.0:
         raise ValueError("h must be exactly symmetric in its last two indices")

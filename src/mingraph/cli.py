@@ -6,7 +6,7 @@ writes deterministic reports (JSON/CSV/XML/MGP1) into the output directory,
 and reserves timestamps and timings for a separate ``run.log`` (``solve``
 appends one JSON line per Newton iteration there).  Exit codes: 0 success,
 1 assertion failure, 2 solver non-convergence, 3 invalid input (usage errors
-included).
+and running out of memory included).
 """
 
 from __future__ import annotations
@@ -344,6 +344,9 @@ def main(argv=None) -> int:
     except (InvalidConfigError, models.DomainError, ValueError, TypeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from mingraph.grassmann import _spd_inverse, induced_metric
 from mingraph.util import grid_points
@@ -28,7 +27,7 @@ from mingraph.util import grid_points
 DEFAULT_TOL = 1e-10
 _GMRES_RTOL = 1e-12  # relative residual every linear solve aims for
 _GMRES_RESTART = 60  # Krylov vectors kept before GMRES restarts
-_GMRES_CYCLES = 5  # restarts before a linear solve counts as missed
+_GMRES_CYCLES = 5  # GMRES cycles before a linear solve counts as missed
 
 
 @dataclass
@@ -194,7 +193,6 @@ def _sine_transform(x, ndim: int):
 
     Along an axis of N values it is -1/2 times the imaginary part of the
     real FFT of the odd extension (0, x, 0, -x reversed) at entries 1..N.
-    ``numpy.fft`` keeps ``scipy.fft``'s import cost off every CLI start.
     """
     for axis in range(ndim):
         x = np.moveaxis(x, axis, -1)
@@ -264,25 +262,70 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
 def _krylov_solve(patch: GraphPatch, action, rhs):
     """Solve action(x) = rhs (inner dims + (m,)) by preconditioned GMRES.
 
-    Returns x and its stats: seconds, GMRES iterations, and whether the
-    relative residual reached ``_GMRES_RTOL`` within ``_GMRES_CYCLES``
-    restarts of ``_GMRES_RESTART`` iterations.
+    Restarted GMRES (Saad & Schultz 1986) from x = 0, left-preconditioned by
+    ``_poisson_solve``: modified Gram-Schmidt, and Givens rotations as LAPACK's
+    dlartg forms them between under- and overflow.  A cycle stops on the
+    preconditioned residual at a tolerance that the true residual rescales
+    after each cycle.  Returns x and its stats: seconds, GMRES iterations,
+    and whether the relative residual reached ``_GMRES_RTOL`` within
+    ``_GMRES_CYCLES`` cycles of ``_GMRES_RESTART`` iterations.
     """
-    shape, size = rhs.shape, rhs.size
+    shape, b = rhs.shape, rhs.ravel()
 
     def precondition(r):
         return _poisson_solve(patch, r.reshape(shape)).ravel()
 
-    steps = []
     start = time.perf_counter()
-    x, info = spla.gmres(
-        spla.LinearOperator((size, size), matvec=action, dtype=float), rhs.ravel(),
-        rtol=_GMRES_RTOL, restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
-        M=spla.LinearOperator((size, size), matvec=precondition, dtype=float),
-        callback=steps.append, callback_type="pr_norm")
+    eps, restart = np.finfo(float).eps, min(_GMRES_RESTART, b.size)
+    v, h = np.empty((restart + 1, b.size)), np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    x, r, iterations, factor = np.zeros(b.size), b.copy(), 0, 1.0
+    rnorm = bnorm = np.linalg.norm(b)
+    atol = _GMRES_RTOL * bnorm
+    if bnorm:  # a zero rhs is solved by x = 0
+        ptol = np.linalg.norm(precondition(b)) * min(1.0, atol / bnorm)
+    for _ in range(_GMRES_CYCLES if bnorm else 0):
+        v[0] = precondition(r)
+        s = np.zeros(restart + 1)  # rotated rhs of the Hessenberg problem
+        s[0] = np.linalg.norm(v[0])
+        v[0] *= 1 / s[0]
+        for col in range(restart):  # h[col] is column col of the Hessenberg
+            w = precondition(action(v[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = np.dot(v[k], w)
+                w -= h[col, k] * v[k]
+            h1 = np.linalg.norm(w)
+            breakdown = h1 <= eps * h0  # the Krylov space holds the solution
+            h[col, col + 1] = 0.0 if breakdown else h1
+            v[col + 1] = w if breakdown else w * (1 / h1)
+            for k in range(col):
+                c, sn = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + sn * n1, c * n1 - sn * n0
+            f, g = h[col, col], h[col, col + 1]  # f = g = 0 on a singular action
+            d = np.copysign(np.sqrt(f * f + g * g), f) or 1.0
+            givens[col] = c, sn = abs(f) / abs(d), g / d
+            h[col, col], h[col, col + 1] = d, 0.0
+            s[col], s[col + 1] = c * s[col], -sn * s[col]
+            presid = abs(s[col + 1])
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        y = s[:col + 1]  # solved in place
+        for k in range(col, -1, -1):  # back-substitution
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+        x += y @ v[:col + 1]
+        r = b - action(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+        ptol = presid * min(factor, atol / rnorm)
     return x.reshape(shape), {"solve_s": time.perf_counter() - start,
-                              "gmres_iterations": len(steps),
-                              "gmres_converged": info == 0}
+                              "gmres_iterations": iterations,
+                              "gmres_converged": bool(rnorm <= atol)}
 
 
 def harmonic_initial_guess(patch: GraphPatch) -> None:

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,18 @@ def test_delta_logv_rhs_requires_symmetry():
     h[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         algebra.delta_logv_rhs(np.array([1.0, 1.0]), h)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_delta_logv_rhs_names_a_non_finite_h(value):
+    # an infinite entry is symmetric but makes h - h^T NaN; the check on
+    # finiteness comes first, names the fault and warns of nothing
+    h = np.zeros((3, 3, 3))
+    h[0, 0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^h must be finite$"):
+            algebra.delta_logv_rhs(np.ones(3), h)
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (2, 3), (3, 2)])

@@ -286,6 +286,17 @@ def test_usage_error_is_invalid_input(capsys):
     assert "no-such-command" in _error_line(capsys)
 
 
+def test_out_of_memory_is_invalid_input(capsys, monkeypatch):
+    # an oversize config exhausts memory inside a subcommand; that is input
+    # the host cannot take, not a failed assertion
+    def oversize(args):
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setattr(cli, "cmd_zoo", oversize)
+    assert run(["zoo", "list"]) == cli.EXIT_INVALID
+    assert _error_line(capsys) == "error: out of memory: Unable to allocate 8.00 EiB"
+
+
 def test_measure_non_finite_radius_is_invalid_input(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m.json",
                     {"model": "affine", "radii": [1.0, float("nan")], "resolution": 32})

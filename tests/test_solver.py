@@ -3,7 +3,11 @@
 import inspect
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +547,62 @@ def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims):
     assert residual <= solver._GMRES_RTOL * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("restart, cycles, restarted, converged", [
+    (60, 5, False, True),  # within the first cycle
+    (8, 20, True, True),  # through restarts
+    (3, 2, True, False),  # tolerance missed after two cycles
+])
+def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, restarted,
+                                          converged):
+    # the GMRES loop against scipy's, on a nonsymmetric Newton system: same
+    # iterations, same outcome and the same x
+    import scipy.sparse.linalg as spla
+    monkeypatch.setattr(solver, "_GMRES_RESTART", restart)
+    monkeypatch.setattr(solver, "_GMRES_CYCLES", cycles)
+    patch = smooth_patch((9, 8, 7), 2, seed=3)
+    action = solver._jacobian_action(patch, include_gradient_terms=True)
+    rhs = -solver.strong_residual_field(patch)
+    x, stats = solver._krylov_solve(patch, action, rhs)
+
+    def precondition(r):
+        return solver._poisson_solve(patch, r.reshape(rhs.shape)).ravel()
+
+    size, steps = rhs.size, []
+    expected, info = spla.gmres(
+        spla.LinearOperator((size, size), matvec=action, dtype=float), rhs.ravel(),
+        rtol=solver._GMRES_RTOL, restart=restart, maxiter=cycles,
+        M=spla.LinearOperator((size, size), matvec=precondition, dtype=float),
+        callback=steps.append, callback_type="pr_norm")
+    assert stats["gmres_converged"] is (info == 0) is converged
+    assert stats["gmres_iterations"] == len(steps)
+    assert (len(steps) > restart) is restarted
+    assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_krylov_solve_degenerate_systems_stay_finite():
+    # a zero rhs takes no iteration; a zero action breaks down at once, and
+    # its Givens rotation of (0, 0) leaves x = 0, as scipy's gmres does
+    patch = solver.GraphPatch(2, 1, (6, 6), 0.25, [0, 0], np.zeros((6, 6, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, zero_rhs = solver._krylov_solve(patch, np.negative, np.zeros((4, 4, 1)))
+        x, zero_action = solver._krylov_solve(patch, np.zeros_like, np.ones((4, 4, 1)))
+    assert zero_rhs["gmres_iterations"] == 0 and zero_rhs["gmres_converged"]
+    assert zero_action["gmres_iterations"] == 1 and not zero_action["gmres_converged"]
+    assert np.array_equal(x, np.zeros((4, 4, 1)))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only run-time dependency; scipy serves only as the oracle
+    code = ("import sys, mingraph.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_solver_stencil_has_one_home():
     # difference quotients are written only in _interior_derivatives: the
     # Newton and Picard actions, the preconditioner's eigenvalues and the
@@ -578,7 +638,7 @@ def test_solve_scherk_from_exact_boundary_data():
     # Scherk's surface u = log(cos y / cos x), m = 1 and not harmonic, on
     # [-1.45, 1.45]^2: its slope grows toward the corners, where
     # |u_x| = |u_y| = tan 1.45 = 8.2, and GMRES needs more iterations
-    # (22-29, 37-41 and 44-61 per step at 17, 33 and 65 nodes)
+    # (22-29, 37-40 and 44-61 per step at 17, 33 and 65 nodes)
     errs = []
     for nodes in (17, 33, 65):
         patch = solver.GraphPatch(2, 1, (nodes, nodes), 2.9 / (nodes - 1),
