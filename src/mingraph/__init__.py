@@ -14,6 +14,7 @@ from mingraph.grassmann import (
     grassmann_distance,
     induced_metric,
     jordan_angles,
+    log_slope,
     plane_inner,
     singular_spectrum,
     slope,
@@ -76,6 +77,7 @@ __all__ = [
     "grassmann_distance",
     "induced_metric",
     "jordan_angles",
+    "log_slope",
     "model_affine",
     "model_lawson_osserman",
     "model_slag_exp",

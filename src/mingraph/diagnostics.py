@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mingraph.algebra import SQRT2, lambda_lower_bound
-from mingraph.grassmann import _spd_inverse, induced_metric, slope, two_dilation
+from mingraph.grassmann import _spd_inverse, induced_metric, log_slope, slope, two_dilation
 from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
 
 _CHUNK = 20000
@@ -117,7 +117,7 @@ def laplace_logv_fd(model, x, step: float) -> np.ndarray:
         e = np.zeros(n)
         e[i] = step
         out += (flux(x + e)[..., i] - flux(x - e)[..., i]) / (2.0 * step)
-    return out / np.exp(induced_metric(model.jacobian(x))[1])
+    return out / np.exp(log_slope(model.jacobian(x)))
 
 
 @dataclass(frozen=True)

@@ -62,31 +62,61 @@ def induced_metric(jacobian):
     """Induced metric g = I + Du^T Du and log v = (1/2) log det g; batched.
 
     ``jacobian`` has shape (..., m, n); returns g (..., n, n) and log v (...).
-    g is built entry by entry over its upper triangle and mirrored.  Each
-    entry sums J_ai J_aj over alpha in the order of
-    ``np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)``, on a contiguous
-    (m, n, ...) copy of J, so g has that expression's bits and is exactly
-    symmetric; it is a view of an (n, n, ...) array.
-
-    log v comes from ``slogdet``, so exp(log v) stays finite where det g
-    overflows.  A closed-form 2 x 2 log det would move report bits: on the
-    slag-exp quadrature points, where g12 = 0 exactly, (1/2) log(g11 g22)
-    differs from slogdet's log v at rounding level on 24-63% of the points.
-    Callers that need g^{-1} pass g to ``_spd_inverse``.
+    g is ``_gram`` plus I, so it has the bits of
+    ``np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)`` and is exactly
+    symmetric; it is a view of an (n, n, ...) array.  log v is
+    ``log_slope(J)``.  Callers that need g^{-1} pass g to ``_spd_inverse``;
+    callers that need only v call ``log_slope`` and form no g.
     """
     J = np.asarray(jacobian, dtype=float)
-    m, n = J.shape[-2:]
+    g = _gram(J)
+    n = g.shape[0]
+    g += np.eye(n).reshape((n, n) + (1,) * (g.ndim - 2))
+    return np.moveaxis(g, (0, 1), (-2, -1)), log_slope(J)
+
+
+def log_slope(jacobian):
+    """log v = (1/2) log det(I + Du^T Du) of a batch (..., m, n) of Jacobians.
+
+    det(I + J^T J) = det(I + J J^T), so the smaller Gram matrix S is used.
+    An LDL^T factorisation of I + S runs over batch columns, as in
+    ``_spd_inverse``, on E = (I + S) - I: each pivot is 1 + e_j with e_j >= 0
+    (a Schur complement of I + S is >= I), so no row swaps are needed and
+    log v = (1/2) sum log1p(e_j).  I + S is never formed, so a near-flat
+    graph keeps full relative accuracy in log v, which log det(I + S) loses
+    to the rounding of 1 + S; each multiplier is formed before its product,
+    so v stays finite where det g overflows.  A single matrix gives a float.
+    """
+    J = np.asarray(jacobian, dtype=float)
+    if J.shape[-2] < J.shape[-1]:
+        J = np.swapaxes(J, -2, -1)
+    e = _gram(J)
+    log_det = np.zeros(e.shape[2:])
+    for k in range(e.shape[0]):
+        log_det += np.log1p(e[k, k])
+        # the trailing Schur complement, upper triangle only
+        for i in range(k + 1, e.shape[0]):
+            e[i, i:] -= e[k, i] / (1.0 + e[k, k]) * e[k, i:]
+    return _unbatch(0.5 * log_det)
+
+
+def _gram(J):
+    """J^T J of a batch (..., m, n) as an (n, n, ...) array of batch columns.
+
+    Each entry sums J_ai J_aj over alpha in ``np.einsum``'s order, on a
+    contiguous (m, n, ...) copy of J; the upper triangle is mirrored, so the
+    result is exactly symmetric.
+    """
     cols = np.moveaxis(J, (-2, -1), (0, 1)).copy()
-    g = np.empty((n, n) + J.shape[:-2])
+    m, n = cols.shape[:2]
+    s = np.empty((n, n) + cols.shape[2:])
     for i in range(n):
         for j in range(i, n):
-            s = np.multiply(cols[0, i], cols[0, j], out=g[i, j, ...])
+            t = np.multiply(cols[0, i], cols[0, j], out=s[i, j, ...])
             for a in range(1, m):
-                s += cols[a, i] * cols[a, j]
-            s += float(i == j)
-            g[j, i] = s
-    g = np.moveaxis(g, (0, 1), (-2, -1))
-    return g, 0.5 * np.linalg.slogdet(g)[1]
+                t += cols[a, i] * cols[a, j]
+            s[j, i] = t
+    return s
 
 
 def _spd_inverse(a):

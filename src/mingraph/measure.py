@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mingraph.grassmann import induced_metric
+from mingraph.grassmann import log_slope
 from mingraph.models import AnalyticModel
 from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, unit_ball_volume
 
-_CHUNK = 200000
+_CHUNK = 50000
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
         x = x[np.sqrt(d2) <= radius]
         if x.size == 0:
             return 0.0
-        _, log_v = induced_metric(model.jacobian(x))
-        return float(np.sum(np.exp(log_v)))
+        return float(np.sum(np.exp(log_slope(model.jacobian(x)))))
 
     return _ball_midpoint_sum(volume, center[: model.n], radius, nodes, _CHUNK, cutoff,
                               threads)
@@ -110,8 +109,7 @@ def graph_volume(
         ring = center[:n] + 2.0 * cutoff * _unit_ring(n)
         ok = np.asarray(model.in_domain(ring))
         if np.any(ok):
-            _, log_v = induced_metric(model.jacobian(ring[ok]))
-            vmax = float(np.exp(np.max(log_v)))
+            vmax = float(np.exp(np.max(log_slope(model.jacobian(ring[ok])))))
             err += vmax * unit_ball_volume(n) * cutoff**n
     return VolumeReport(
         region=f"ball(r={radius!r})", value=fine, resolution=resolution, est_error=err

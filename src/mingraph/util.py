@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,11 +22,30 @@ def _unbatch(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
-    """Fixed [(start, stop), ...] partition of range(total), independent of threads."""
-    if total <= 0:
-        return []
-    return [(s, min(s + size, total)) for s in range(0, total, size)]
+class _ChunkRanges:
+    """The (lo, hi) pieces of range(start, stop) of ``size`` each, made on demand."""
+
+    def __init__(self, start: int, stop: int, size: int):
+        self._los = range(start, max(start, stop), size)
+        self._stop, self._size = stop, size
+
+    def __len__(self) -> int:
+        return len(self._los)
+
+    def __iter__(self):
+        return ((lo, min(lo + self._size, self._stop)) for lo in self._los)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
+def chunk_ranges(total: int, size: int) -> _ChunkRanges:
+    """Fixed (start, stop) partition of range(total), independent of threads.
+
+    A sized iterable whose pairs are made as they are read, so a grid of any
+    size costs O(1) here.
+    """
+    return _ChunkRanges(0, total, size)
 
 
 def _usable_cpus() -> int:
@@ -36,11 +56,21 @@ def _usable_cpus() -> int:
 
 
 def run_chunks(fn, chunks, threads: int = 1) -> list:
-    """Apply ``fn`` to each chunk, results in chunk order regardless of thread count."""
+    """Apply ``fn`` to each chunk, results in chunk order regardless of thread count.
+
+    At most 2 * threads chunks are submitted and not yet collected, so the
+    pool holds O(threads) futures however many chunks there are.
+    """
     if threads <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+        for chunk in chunks:
+            if len(pending) == 2 * threads:
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(fn, chunk))
+        out.extend(future.result() for future in pending)
+    return out
 
 
 def grid_points(axes) -> np.ndarray:
@@ -51,6 +81,9 @@ def grid_points(axes) -> np.ndarray:
 # cutoff / radius of the ball around a possible cone vertex that the
 # volume and curvature quadratures excise
 VERTEX_CUTOFF_FRAC = 1e-3
+
+# chunks per run_chunks call in _ball_midpoint_sum
+_WINDOW = 256
 
 
 def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
@@ -90,7 +123,18 @@ def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
         x = [a[i[row]] for a, i in zip(axes, lead)] + [axes[-1][col]]
         return fn(np.stack(x, axis=-1))
 
-    vals = run_chunks(piece, chunk_ranges(nodes**n, chunk), threads)
-    while len(vals) > 1:
-        vals = [sum(vals[i : i + 2]) for i in range(0, len(vals), 2)]
-    return (vals[0] if vals else 0.0) * h**n
+    # the chunk sums are added pairwise in one fixed tree, the one that adding
+    # neighbours level by level gives: a stack holds the sum of each finished
+    # subtree, sizes falling, so memory is O(log chunks) and not O(chunks).
+    # Each run_chunks call covers _WINDOW chunks, which bounds the list it returns.
+    stack = []
+    for lo, hi in chunk_ranges(nodes**n, _WINDOW * chunk):
+        for val in run_chunks(piece, _ChunkRanges(lo, hi, chunk), threads):
+            size = 1
+            while stack and stack[-1][0] == size:
+                size, val = 2 * size, stack.pop()[1] + val
+            stack.append((size, val))
+    total = stack.pop()[1] if stack else 0.0
+    while stack:
+        total = stack.pop()[1] + total
+    return total * h**n

@@ -21,6 +21,7 @@ from mingraph.grassmann import (
     grassmann_distance,
     induced_metric,
     jordan_angles,
+    log_slope,
     plane_inner,
     singular_spectrum,
     slope,
@@ -203,13 +204,68 @@ def test_induced_metric_matches_einsum_bit_for_bit(m, n, lead):
     rng = np.random.default_rng(10 * m + n)
     J = rng.standard_normal(lead + (m, n)) * rng.uniform(0.01, 100.0, lead + (1, 1))
     J[..., 0, :] *= rng.integers(0, 2, lead + (1,))  # zero rows, signed zeros
-    g, log_v = induced_metric(J)
+    g, _ = induced_metric(J)
     ref = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
     assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
-    ref_log_v = 0.5 * np.linalg.slogdet(ref)[1]
-    assert np.shape(log_v) == lead
-    assert np.asarray(log_v).tobytes() == np.asarray(ref_log_v).tobytes()
     assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+
+@pytest.mark.parametrize("lead", [(4, 5), (), (3000,)])
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 4)])
+def test_induced_metric_log_v_is_log_slope(m, n, lead):
+    rng = np.random.default_rng(10 * m + n)
+    J = rng.standard_normal(lead + (m, n)) * rng.uniform(0.01, 100.0, lead + (1, 1))
+    J[..., 0, :] *= rng.integers(0, 2, lead + (1,))  # zero rows, signed zeros
+    _, log_v = induced_metric(J)
+    assert np.shape(log_v) == lead
+    assert np.asarray(log_v).tobytes() == np.asarray(log_slope(J)).tobytes()
+    # slogdet of I + J^T J loses up to about eps * |J|^2 (5e-13 relative here),
+    # which test_log_slope_matches_high_precision shows is its own error
+    ref = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
+    np.testing.assert_allclose(log_v, 0.5 * np.linalg.slogdet(ref)[1], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 30.0, 1e3])
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 4), (4, 3), (2, 3)])
+def test_log_slope_matches_high_precision(m, n, scale):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(10 * m + n)
+    J = scale * rng.standard_normal((40, m, n))
+    log_v = log_slope(J)
+
+    def exact(j):
+        a = mpmath.matrix(j.tolist())
+        return float(0.5 * mpmath.log(mpmath.det(mpmath.eye(n) + a.T * a)))
+
+    with mpmath.workdps(40):
+        ref = np.array([exact(j) for j in J])
+    assert np.max(np.abs(log_v - ref) / ref) <= 1e-13
+    if scale == 1e-6:
+        # log det(I + J^T J) of a near-flat graph is the log of about 1 + 1e-12
+        g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
+        assert np.max(np.abs(0.5 * np.linalg.slogdet(g)[1] - ref) / ref) > 1e-13
+    # a batch has its rows' bits, and one matrix gives a float
+    rows = [log_slope(j) for j in J]
+    assert all(isinstance(r, float) for r in rows)
+    assert np.array(rows).tobytes() == log_v.tobytes()
+
+
+def test_log_slope_has_one_home():
+    # log v is formed only in log_slope, with no slogdet; the other log1p in
+    # src is the spectrum formula of ``slope``
+    homes = {"log_slope": inspect.getsource(log_slope), "slope": inspect.getsource(slope)}
+    found = []
+    for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "slogdet" not in text, path.name
+        if path.name == "grassmann.py":
+            for own in homes.values():
+                assert text.count(own) == 1
+                text = text.replace(own, "")
+        found += [f"{path.name}: {line.strip()}" for line in text.splitlines()
+                  if "log1p" in line]
+    assert found == []
+    assert "log1p(e[k, k])" in homes["log_slope"]
 
 
 def test_induced_metric_has_one_home():

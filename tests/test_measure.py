@@ -10,7 +10,13 @@ import pytest
 from mingraph import diagnostics, measure
 from mingraph.grassmann import induced_metric
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
-from mingraph.util import chunk_ranges, grid_points, run_chunks, unit_ball_volume
+from mingraph.util import (
+    _ball_midpoint_sum,
+    chunk_ranges,
+    grid_points,
+    run_chunks,
+    unit_ball_volume,
+)
 
 
 def test_unit_ball_volume_known_values():
@@ -128,13 +134,20 @@ def test_max_slope_steep_plane_is_finite():
      "VolumeReport(region='ball(r=1.5)', value=44.32777404785156, resolution=32, "
      "est_error=0.3670806887014044)"),
     (model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1]), 0.8, 512, 2,
-     "VolumeReport(region='ball(r=0.8)', value=1.8805090198588488, resolution=512, "
-     "est_error=0.00044722193515012165)"),
+     "VolumeReport(region='ball(r=0.8)', value=1.8805090198588492, resolution=512, "
+     "est_error=0.00044722193514967756)"),
 ], ids=["cone-vertex", "slag-exp-off-centre"])
 def test_graph_volume_pinned(model, center, radius, resolution, threads, expected):
     # both grids span several chunks, so the pairwise chunk reduction is pinned too
     rep = measure.graph_volume(model, center, radius, resolution, threads)
     assert repr(rep) == expected
+
+
+def test_graph_volume_independent_of_threads():
+    # the fine pass spans six chunks, so 2 and 3 threads split it unevenly
+    model, center = model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1])
+    reports = {repr(measure.graph_volume(model, center, 0.8, 512, t)) for t in (1, 2, 3)}
+    assert len(reports) == 1
 
 
 def test_graph_volume_evaluates_model_only_inside_base_ball():
@@ -179,6 +192,19 @@ def test_quadrature_memory_flat_in_resolution(monkeypatch, quadrature):
     monkeypatch.setattr(diagnostics, "_CHUNK", 4096)
     small, large = (_peak_mb(lambda: quadrature(nodes)) for nodes in (256, 512))
     assert large < 1.25 * small
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ball_sum_memory_flat_in_chunk_count(threads):
+    # same grid, 100x more chunks: neither the chunk list, nor the futures in
+    # flight, nor the chunk sums may grow with the count
+    def peak(chunk):
+        return _peak_mb(lambda: _ball_midpoint_sum(lambda x: float(x.shape[0]),
+                                                   np.zeros(2), 1.0, 100, chunk, 0.0,
+                                                   threads))
+
+    few, many = peak(500), peak(5)
+    assert many < 1.25 * few
 
 
 def test_curvature_integral_memory_within_one_old_chunk(monkeypatch):
