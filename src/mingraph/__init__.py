@@ -12,9 +12,9 @@ from mingraph.grassmann import (
     bernstein_condition,
     graph_plane_basis,
     grassmann_distance,
-    induced_metric,
     jordan_angles,
     log_slope,
+    metric_inverse,
     plane_inner,
     singular_spectrum,
     slope,
@@ -75,9 +75,9 @@ __all__ = [
     "solve",
     "graph_plane_basis",
     "grassmann_distance",
-    "induced_metric",
     "jordan_angles",
     "log_slope",
+    "metric_inverse",
     "model_affine",
     "model_lawson_osserman",
     "model_slag_exp",

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from mingraph.grassmann import _spd_inverse, induced_metric
+from mingraph.grassmann import log_slope, metric_inverse
 from mingraph.util import _unbatch, chunk_ranges, run_chunks
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
@@ -474,9 +474,8 @@ def check_lambda_inequality(
 def xi11(a: np.ndarray) -> np.ndarray:
     """xi_11 = sqrt(det b) * sum_i b^{i1} a_{1i} with b = I + a^T a; broadcasts."""
     a = np.asarray(a, dtype=float)
-    b, log_v = induced_metric(a)
-    first = np.einsum("...j,...j->...", _spd_inverse(b)[..., 0, :], a[..., 0, :])
-    return _unbatch(np.exp(log_v) * first)
+    first = np.einsum("...j,...j->...", metric_inverse(a)[..., 0, :], a[..., 0, :])
+    return _unbatch(np.exp(log_slope(a)) * first)
 
 
 def _dilation_and_detb(a: np.ndarray):

@@ -342,7 +342,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (InvalidConfigError, models.DomainError, ValueError, TypeError,
-            OSError) as exc:
+            OSError, algebra.SamplingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:

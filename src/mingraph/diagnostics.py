@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mingraph.algebra import SQRT2, lambda_lower_bound
-from mingraph.grassmann import _spd_inverse, induced_metric, log_slope, slope, two_dilation
+from mingraph.grassmann import log_slope, metric_inverse, slope, two_dilation
 from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
 
 _CHUNK = 20000
@@ -54,14 +54,14 @@ def sff_components(jacobian, hessian) -> np.ndarray:
     return _sff(jacobian, hessian)[0]
 
 
-def _sff_norm2(J, H, g):
-    """|B|^2 (...) from J (..., m, n), H (..., m, n, n) and g = I + J^T J."""
-    m, n = J.shape[-2:]
-    ginv = _spd_inverse(g)[..., None, :, :]
-    # Gram matrix I + J J^T of the graph normals (-grad u^a, e_a)
-    gram = J @ np.swapaxes(J, -1, -2) + np.eye(m)
+def _sff_norm2(J, H):
+    """|B|^2 (...) from J (..., m, n) and H (..., m, n, n)."""
+    n = J.shape[-1]
+    ginv = metric_inverse(J)[..., None, :, :]
+    # N = (I + J J^T)^{-1}, the inverse Gram matrix of the normals (-grad u^a, e_a)
+    normal_inv = metric_inverse(np.swapaxes(J, -1, -2))
     w = ginv @ H @ ginv  # g^{ik} H^a_{kl} g^{lj}
-    k = _spd_inverse(gram) @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
+    k = normal_inv @ H.reshape(H.shape[:-2] + (n * n,))  # N_ab H^b_ij
     w = w.reshape(w.shape[:-3] + (-1,))
     return np.einsum("...i,...i->...", w, k.reshape(k.shape[:-2] + (-1,)))
 
@@ -78,14 +78,14 @@ def sff_norm2(jacobian, hessian) -> np.ndarray:
     """
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
-    return _unbatch(_sff_norm2(J, H, induced_metric(J)[0]))
+    return _unbatch(_sff_norm2(J, H))
 
 
 def grad_logv(jacobian, hessian) -> np.ndarray:
     """Euclidean gradient d_j log v = (1/2) tr(g^{-1} d_j g); broadcasts."""
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
-    ginv = _spd_inverse(induced_metric(J)[0])
+    ginv = metric_inverse(J)
     # d_j g_{ik} = sum_a (H[a,j,i] J[a,k] + J[a,i] H[a,j,k])
     dgj = np.einsum("...aji,...ak->...jik", H, J) + np.einsum(
         "...ai,...ajk->...jik", J, H
@@ -107,9 +107,8 @@ def laplace_logv_fd(model, x, step: float) -> np.ndarray:
 
     def flux(pts):
         J = model.jacobian(pts)
-        g, log_v = induced_metric(J)
-        return np.exp(log_v)[..., None] * np.einsum(
-            "...ij,...j->...i", _spd_inverse(g), grad_logv(J, model.hessian(pts))
+        return np.exp(log_slope(J))[..., None] * np.einsum(
+            "...ij,...j->...i", metric_inverse(J), grad_logv(J, model.hessian(pts))
         )
 
     out = np.zeros(x.shape[:-1])
@@ -185,8 +184,7 @@ def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
 
     def integrand(x):
         J = model.jacobian(x)
-        g, log_v = induced_metric(J)
-        return float(np.sum(_sff_norm2(J, model.hessian(x), g) * np.exp(log_v)))
+        return float(np.sum(_sff_norm2(J, model.hessian(x)) * np.exp(log_slope(J))))
 
     return _ball_midpoint_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
                               _CHUNK, VERTEX_CUTOFF_FRAC * radius, _usable_cpus())

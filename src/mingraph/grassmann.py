@@ -58,21 +58,31 @@ def slope(spectrum) -> float:
     return _unbatch(np.exp(0.5 * np.sum(logs, axis=-1)))
 
 
-def induced_metric(jacobian):
-    """Induced metric g = I + Du^T Du and log v = (1/2) log det g; batched.
+def metric_inverse(jacobian):
+    """Inverse g^{-1} (..., n, n) of the induced metric g = I + Du^T Du; batched.
 
-    ``jacobian`` has shape (..., m, n); returns g (..., n, n) and log v (...).
-    g is ``_gram`` plus I, so it has the bits of
-    ``np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)`` and is exactly
-    symmetric; it is a view of an (n, n, ...) array.  log v is
-    ``log_slope(J)``.  Callers that need g^{-1} pass g to ``_spd_inverse``;
-    callers that need only v call ``log_slope`` and form no g.
+    ``jacobian`` has shape (..., m, n).  g is ``_gram`` plus I, so it has the
+    bits of ``np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)``, and is
+    inverted in place by Gauss-Jordan over batch columns.  Every pivot is a
+    diagonal entry of a Schur complement of g >= I, so it is >= 1 and no row
+    swaps are needed; on small matrices this beats LAPACK's one call per
+    matrix several times over.  Callers that need v call ``log_slope``.
     """
-    J = np.asarray(jacobian, dtype=float)
-    g = _gram(J)
-    n = g.shape[0]
-    g += np.eye(n).reshape((n, n) + (1,) * (g.ndim - 2))
-    return np.moveaxis(g, (0, 1), (-2, -1)), log_slope(J)
+    a = _gram(np.asarray(jacobian, dtype=float))
+    n = a.shape[0]
+    a += np.eye(n).reshape((n, n) + (1,) * (a.ndim - 2))
+    for k in range(n):
+        # in place: column k, reduced to e_k, holds column k of the inverse
+        pivot = 1.0 / a[k, k]
+        a[k, k] = 1.0
+        a[k] *= pivot
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i, k] = 0.0
+                a[i] -= f * a[k]
+    # contiguous, which keeps _sff_norm2's matmuls on it about 10% faster
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
 
 
 def log_slope(jacobian):
@@ -80,7 +90,7 @@ def log_slope(jacobian):
 
     det(I + J^T J) = det(I + J J^T), so the smaller Gram matrix S is used.
     An LDL^T factorisation of I + S runs over batch columns, as in
-    ``_spd_inverse``, on E = (I + S) - I: each pivot is 1 + e_j with e_j >= 0
+    ``metric_inverse``, on E = (I + S) - I: each pivot is 1 + e_j with e_j >= 0
     (a Schur complement of I + S is >= I), so no row swaps are needed and
     log v = (1/2) sum log1p(e_j).  I + S is never formed, so a near-flat
     graph keeps full relative accuracy in log v, which log det(I + S) loses
@@ -117,30 +127,6 @@ def _gram(J):
                 t += cols[a, i] * cols[a, j]
             s[j, i] = t
     return s
-
-
-def _spd_inverse(a):
-    """Inverse of a batch (..., n, n) of symmetric matrices >= I, by Gauss-Jordan.
-
-    Every pivot is a diagonal entry of a Schur complement of a matrix >= I,
-    so it is >= 1 and no row swaps are needed.  The loops run over n and each
-    step works on whole batch columns, which on small matrices beats
-    LAPACK's one call per matrix several times over.
-    """
-    a = np.moveaxis(a, (-2, -1), (0, 1)).copy()
-    n = a.shape[0]
-    for k in range(n):
-        # in place: column k, reduced to e_k, holds column k of the inverse
-        pivot = 1.0 / a[k, k]
-        a[k, k] = 1.0
-        a[k] *= pivot
-        for i in range(n):
-            if i != k:
-                f = a[i, k].copy()
-                a[i, k] = 0.0
-                a[i] -= f * a[k]
-    # contiguous, which keeps _sff_norm2's matmuls on it about 10% faster
-    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
 
 
 def two_dilation(spectrum) -> float:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from mingraph.grassmann import _spd_inverse, induced_metric
+from mingraph.grassmann import metric_inverse
 from mingraph.util import grid_points
 
 DEFAULT_TOL = 1e-10
@@ -53,8 +53,10 @@ class GraphPatch:
             raise ValueError("only n in {2, 3, 4} is supported")
         if len(self.dims) != self.n or any(d < 3 for d in self.dims):
             raise ValueError("need at least 3 nodes per axis")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if self.origin.shape != (self.n,) or not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must hold {self.n} finite entries")
         if self.values.shape != self.dims + (self.m,):
             raise ValueError(
                 f"values shape {self.values.shape} != {self.dims + (self.m,)}"
@@ -76,10 +78,11 @@ class GraphPatch:
     @classmethod
     def from_model(cls, model, origin, dims, spacing) -> "GraphPatch":
         """Sample an analytic model onto a grid (all nodes, not just boundary)."""
-        patch = cls(model.n, model.m, tuple(dims), spacing, origin,
-                    np.zeros(tuple(dims) + (model.m,)))
-        patch.values[:] = model.value(patch.node_coords())
-        return patch
+        grid = cls(model.n, model.m, tuple(dims), spacing, origin,
+                   np.zeros(tuple(dims) + (model.m,)))
+        # a new patch, so that the model's values pass the same checks
+        values = np.array(model.value(grid.node_coords()), dtype=float, order="C")
+        return replace(grid, values=values)
 
 
 def save_patch(patch: GraphPatch, manifest_path) -> None:
@@ -118,7 +121,7 @@ def load_patch(manifest_path) -> GraphPatch:
 
 def residual_strong(jacobian, hessian) -> np.ndarray:
     """Strong residual sum_{ij} g^{ij} H[alpha, i, j]; broadcasts over batches."""
-    ginv = _spd_inverse(induced_metric(jacobian)[0])
+    ginv = metric_inverse(jacobian)
     return np.einsum("...ij,...aij->...a", ginv, np.asarray(hessian, dtype=float))
 
 
@@ -241,7 +244,7 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
     frozen-coefficient (Picard) operator.
     """
     Du, H = _interior_derivatives(patch.values, patch.spacing)
-    ginv = _spd_inverse(induced_metric(Du)[0])
+    ginv = metric_inverse(Du)
     if include_gradient_terms:
         w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
         coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
@@ -357,8 +360,8 @@ def solve(
     above 10x the best for 20 consecutive iterations) aborts with the best
     iterate restored.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if initial_guess:
         harmonic_initial_guess(patch)
     inner = tuple(slice(1, -1) for _ in range(patch.n))

@@ -182,6 +182,21 @@ def test_solve_non_convergence_exit_code(tmp_path):
     assert code == cli.EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("key,value", [("spacing", float("nan")),
+                                       ("spacing", float("inf")),
+                                       ("tol", float("nan"))])
+def test_solve_non_finite_config_is_invalid_input(key, value, tmp_path, capsys):
+    # json reads NaN and Infinity; a solve on them would write a NaN patch
+    # or report non-convergence after no iteration
+    payload = {"model": "slag-exp", "origin": [0, 0], "dims": [9, 9], "spacing": 0.125}
+    cfg = write_cfg(tmp_path, "solve.json", dict(payload, **{key: value}))
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert key in line and repr(value) in line
+    assert not (out / "solved.bin").exists()
+
+
 def test_diagnose_cone_rows(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -295,6 +310,16 @@ def test_out_of_memory_is_invalid_input(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_zoo", oversize)
     assert run(["zoo", "list"]) == cli.EXIT_INVALID
     assert _error_line(capsys) == "error: out of memory: Unable to allocate 8.00 EiB"
+
+
+def test_unsamplable_lambda_is_invalid_input(tmp_path, capsys):
+    # at Lambda = 1e-9 the Lambda sampler accepts no draw out of 1e7
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.25, "samples": 100, "seed": 1,
+                                          "lam_values": [1e-9], "eps_values": [0.3]})
+    out = tmp_path / "o"
+    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert "no accepted draw" in _error_line(capsys)
+    assert not (out / "verify_algebra.json").exists()
 
 
 def test_measure_non_finite_radius_is_invalid_input(tmp_path, capsys):

@@ -12,7 +12,7 @@ import mingraph
 from mingraph import diagnostics as dg
 from mingraph import util
 from mingraph.algebra import SQRT2, lambda_lower_bound
-from mingraph.grassmann import induced_metric
+from mingraph.grassmann import metric_inverse
 from mingraph.models import (
     DomainError,
     model_affine,
@@ -27,7 +27,7 @@ def tangent_projector(jacobian) -> np.ndarray:
     m, n = J.shape[-2:]
     eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
     T = np.concatenate([eye, J], axis=-2)
-    g, _ = induced_metric(J)
+    g = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
     return np.einsum("...pi,...ij,...qj->...pq", T, np.linalg.inv(g), T)
 
 
@@ -40,7 +40,7 @@ def sff_norm2_projector(jacobian, hessian) -> float:
     J = np.asarray(jacobian, dtype=float)
     H = np.asarray(hessian, dtype=float)
     m, n = J.shape
-    ginv = np.linalg.inv(induced_metric(J)[0])
+    ginv = np.linalg.inv(np.eye(n) + np.einsum("ai,aj->ij", J, J))
     T = np.vstack([np.eye(n), J])
     Tg = T @ ginv
     dgk = np.einsum("aki,aj->kij", H, J) + np.einsum("ai,akj->kij", J, H)
@@ -58,7 +58,7 @@ def gauss_map_norm2_fd(model, x, step=1e-5):
     """|B|^2 from central differences of the tangent projector (oracle)."""
     n = model.n
     J = model.jacobian(x)
-    ginv = np.linalg.inv(np.eye(n) + J.T @ J)
+    ginv = np.linalg.inv(np.eye(n) + np.einsum("ai,aj->ij", J, J))
     dP = []
     for k in range(n):
         e = np.zeros(n)
@@ -293,20 +293,21 @@ def _rel_err(a, b):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_spd_inverse_matches_lapack(n):
+    # metric_inverse, the SPD inverse behind _sff_norm2, against LAPACK
     rng = np.random.default_rng(20 + n)
     a = rng.standard_normal((3, 4, 6, n))
-    g = np.eye(n) + np.swapaxes(a, -1, -2) @ a
-    inv = dg._spd_inverse(g)
+    g = np.eye(n) + np.einsum("...ai,...aj->...ij", a, a)
+    inv = metric_inverse(a)
     assert inv.shape == g.shape
     assert np.all(_rel_err(inv, np.linalg.inv(g)) <= 1e-14)
     # one matrix without batch axes
-    assert np.all(_rel_err(dg._spd_inverse(g[1, 2]), np.linalg.inv(g[1, 2])) <= 1e-14)
+    assert np.all(_rel_err(metric_inverse(a[1, 2]), np.linalg.inv(g[1, 2])) <= 1e-14)
 
 
 def test_spd_inverse_of_the_steep_plane_metric():
-    g, _ = induced_metric(1e100 * np.eye(2))
-    np.testing.assert_allclose(dg._spd_inverse(g), np.linalg.inv(g),
-                               rtol=1e-14, atol=0.0)
+    J = 1e100 * np.eye(2)
+    g = np.eye(2) + np.einsum("ai,aj->ij", J, J)
+    np.testing.assert_allclose(metric_inverse(J), np.linalg.inv(g), rtol=1e-14, atol=0.0)
 
 
 def test_curvature_integral_independent_of_cpu_count(monkeypatch):

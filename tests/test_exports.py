@@ -10,6 +10,8 @@ import mingraph
 REMOVED = {
     # algebra
     "sqrt2_lower_bound",
+    # grassmann
+    "induced_metric", "_spd_inverse",
     # diagnostics
     "SffTensor", "sff_at", "sff_tensor", "_adapted_svd", "_contract",
     "laplace_inv_slope_formula", "laplace_inv_slope_fd", "deltav_inverse",

@@ -19,9 +19,9 @@ from mingraph.grassmann import (
     bernstein_condition,
     graph_plane_basis,
     grassmann_distance,
-    induced_metric,
     jordan_angles,
     log_slope,
+    metric_inverse,
     plane_inner,
     singular_spectrum,
     slope,
@@ -174,55 +174,79 @@ def test_plane_dimension_mismatch_raises():
         plane_inner(P, Q)
 
 
+def _metric(J):
+    """g = I + J^T J by einsum, the oracle for metric_inverse's g."""
+    n = J.shape[-1]
+    return np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
+
+
 def test_induced_metric_consistency():
-    g, log_v = induced_metric(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    assert np.allclose(g, np.diag([2.0, 5.0]))
-    assert math.exp(log_v) == pytest.approx(math.sqrt(10.0))
+    ginv = metric_inverse(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    assert np.allclose(ginv, np.diag([0.5, 0.2]))
 
 
 def test_induced_metric_exponential_origin():
     slag = mingraph.model_slag_exp()
-    g, log_v = induced_metric(slag.jacobian(np.zeros(2)))
-    assert np.allclose(g, 2.0 * np.eye(2))
-    assert math.exp(log_v) == pytest.approx(2.0)
+    assert np.allclose(metric_inverse(slag.jacobian(np.zeros(2))), 0.5 * np.eye(2))
 
 
 def test_induced_metric_batched_matches_slope():
     rng = np.random.default_rng(7)
     J = rng.standard_normal((6, 3, 2))
-    g, log_v = induced_metric(J)
-    assert g.shape == (6, 2, 2) and log_v.shape == (6,)
+    ginv = metric_inverse(J)
+    assert ginv.shape == (6, 2, 2) and ginv.flags.c_contiguous
     for k in range(6):
-        assert np.array_equal(g[k], induced_metric(J[k])[0])
-        assert math.exp(log_v[k]) == pytest.approx(slope(singular_spectrum(J[k])),
-                                                   rel=1e-13)
+        assert np.array_equal(ginv[k], metric_inverse(J[k]))
+        # det g^{-1} = 1 / v^2
+        assert np.linalg.det(ginv[k]) == pytest.approx(
+            slope(singular_spectrum(J[k])) ** -2, rel=1e-13)
 
 
 @pytest.mark.parametrize("lead", [(4, 5), (), (3000,)])
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 4)])
 def test_induced_metric_matches_einsum_bit_for_bit(m, n, lead):
+    # metric_inverse inverts the einsum g: its Gauss-Jordan on that g,
+    # written out, gives the same bytes.  Any inverse of g, LAPACK's too, is
+    # off by about eps cond(g) of its largest entry, so that bounds the gap
     rng = np.random.default_rng(10 * m + n)
     J = rng.standard_normal(lead + (m, n)) * rng.uniform(0.01, 100.0, lead + (1, 1))
     J[..., 0, :] *= rng.integers(0, 2, lead + (1,))  # zero rows, signed zeros
-    g, _ = induced_metric(J)
-    ref = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
-    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    ginv = metric_inverse(J)
+    g = _metric(J)
+    ref = np.linalg.inv(g)
+    assert ginv.shape == ref.shape
+    err = np.max(np.abs(ginv - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.all(err <= 4.0 * np.finfo(float).eps * np.linalg.cond(g))
+    a = np.moveaxis(g, (-2, -1), (0, 1)).copy()
+    for k in range(n):
+        pivot = 1.0 / a[k, k]
+        a[k, k] = 1.0
+        a[k] *= pivot
+        for i in range(n):
+            if i != k:
+                f = a[i, k].copy()
+                a[i, k] = 0.0
+                a[i] -= f * a[k]
+    a = np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+    assert ginv.tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize("lead", [(4, 5), (), (3000,)])
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 4)])
 def test_induced_metric_log_v_is_log_slope(m, n, lead):
+    # log_slope's v and metric_inverse's g^{-1} belong to one g: log v is
+    # -(1/2) log det g^{-1}
     rng = np.random.default_rng(10 * m + n)
     J = rng.standard_normal(lead + (m, n)) * rng.uniform(0.01, 100.0, lead + (1, 1))
     J[..., 0, :] *= rng.integers(0, 2, lead + (1,))  # zero rows, signed zeros
-    _, log_v = induced_metric(J)
+    log_v = log_slope(J)
     assert np.shape(log_v) == lead
-    assert np.asarray(log_v).tobytes() == np.asarray(log_slope(J)).tobytes()
     # slogdet of I + J^T J loses up to about eps * |J|^2 (5e-13 relative here),
     # which test_log_slope_matches_high_precision shows is its own error
-    ref = np.eye(n) + np.einsum("...ai,...aj->...ij", J, J)
-    np.testing.assert_allclose(log_v, 0.5 * np.linalg.slogdet(ref)[1], rtol=1e-11, atol=0)
+    np.testing.assert_allclose(log_v, 0.5 * np.linalg.slogdet(_metric(J))[1],
+                               rtol=1e-11, atol=0)
+    np.testing.assert_allclose(log_v, -0.5 * np.linalg.slogdet(metric_inverse(J))[1],
+                               rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 30.0, 1e3])
@@ -269,27 +293,28 @@ def test_log_slope_has_one_home():
 
 
 def test_induced_metric_has_one_home():
-    # g = I + Du^T Du and v = sqrt(det g) are formed only in induced_metric
-    own = inspect.getsource(induced_metric)
-    inline = re.compile(r"sqrt\(np\.linalg\.det|np\.eye\([^()]*\)\s*\+")
+    # g = I + Du^T Du (and any I + Gram) is formed only in metric_inverse,
+    # and v = sqrt(det g) nowhere
+    own = inspect.getsource(metric_inverse)
+    inline = re.compile(r"sqrt\(np\.linalg\.det|np\.eye\([^()]*\)\s*\+|\+=?\s*np\.eye\(")
     found = []
     for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name == "grassmann.py":
-            assert own in text
+            assert own in text and inline.search(own)
             text = text.replace(own, "")
         found += [f"{path.name}: {m.group(0)}" for m in inline.finditer(text)]
     assert found == []
 
 
 def test_metric_inverse_has_one_home():
-    # every g^{-1} (and b^{-1} in xi_11) comes from grassmann._spd_inverse
+    # every g^{-1} (and b^{-1} in xi_11) comes from grassmann.metric_inverse
     lapack = re.compile(r"np\.linalg\.(inv|solve)\(")
     found, homes = [], []
     for path in sorted(Path(mingraph.__file__).parent.glob("*.py")):
         text = path.read_text()
         found += [f"{path.name}: {m.group(0)}" for m in lapack.finditer(text)]
-        homes += [path.name] * text.count("def _spd_inverse(")
+        homes += [path.name] * text.count("def metric_inverse(")
     assert found == []
     assert homes == ["grassmann.py"]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mingraph import solver
-from mingraph.grassmann import induced_metric
+from mingraph import grassmann
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
 
 
@@ -33,8 +33,8 @@ def divergence_residual_field(patch) -> np.ndarray:
     stencil of every node stays inside the interior flux field.
     """
     Du, _ = solver._interior_derivatives(patch.values, patch.spacing)
-    g, log_v = induced_metric(Du)
-    v = np.exp(log_v)
+    g = np.eye(patch.n) + np.einsum("...ai,...aj->...ij", Du, Du)
+    v = np.exp(grassmann.log_slope(Du))
     # flux F[..., alpha, i] = v g^{ij} d_j u^alpha at interior nodes
     F = v[..., None, None] * np.einsum("...ij,...aj->...ai", np.linalg.inv(g), Du)
     n = patch.n
@@ -68,8 +68,8 @@ def weak_harmonicity_defect(patch, alpha) -> float:
             for c, sg in zip(corners, signs))
         for k in range(n)
     ], axis=-1)  # (cells..., m, n)
-    g, log_v = induced_metric(DU)
-    v = np.exp(log_v)
+    g = np.eye(n) + np.einsum("...ai,...aj->...ij", DU, DU)
+    v = np.exp(grassmann.log_slope(DU))
     flux = np.einsum("...,...ij,...j->...i", v, np.linalg.inv(g), DU[..., alpha, :])
     total_v = float(np.sum(v)) * h**n
 
@@ -92,6 +92,15 @@ def test_patch_validation():
         solver.GraphPatch(2, 1, (5, 5), -0.1, np.zeros(2), np.zeros((5, 5, 1)))
     with pytest.raises(ValueError):
         solver.GraphPatch(5, 1, (3,) * 5, 0.1, np.zeros(5), np.zeros((3,) * 5 + (1,)))
+    for spacing, origin in [(np.nan, [0, 0]), (np.inf, [0, 0]), (0.1, [0, np.nan]),
+                            (0.1, [0, 0, 0])]:
+        with pytest.raises(ValueError, match="spacing|origin"):
+            solver.GraphPatch(2, 1, (5, 5), spacing, origin, np.zeros((5, 5, 1)))
+    # e^x overflows at x = 800: the model's values, not the zeros they
+    # replace, go through the patch's checks
+    with pytest.raises(ValueError, match="finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            solver.GraphPatch.from_model(model_slag_exp(), [800.0, 0.0], (5, 5), 0.1)
 
 
 def test_boundary_mask_is_outer_layer():
@@ -141,7 +150,7 @@ def test_residual_strong_matches_the_lapack_inverse(m, n):
     J = (u * lam[..., None, :]) @ vt
     H = rng.standard_normal((500, m, n, n))
     H = H + np.swapaxes(H, -1, -2)
-    ginv = np.linalg.inv(induced_metric(J)[0])
+    ginv = np.linalg.inv(np.eye(n) + np.einsum("...ai,...aj->...ij", J, J))
     ref = np.einsum("...ij,...aij->...a", ginv, H)
     scale = np.einsum("...ij,...aij->...a", np.abs(ginv), np.abs(H))
     bound = 16.0 * np.finfo(float).eps * (1.0 + np.max(lam, axis=-1) ** 2)
@@ -516,7 +525,7 @@ def test_picard_matrix_applies_the_frozen_metric(dims, m):
     # the patch frozen and delta zero on the boundary
     patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
     Du, _ = solver._interior_derivatives(patch.values, patch.spacing)
-    ginv = np.linalg.inv(induced_metric(Du)[0])
+    ginv = np.linalg.inv(np.eye(patch.n) + np.einsum("...ai,...aj->...ij", Du, Du))
     delta = solver.GraphPatch(patch.n, m, dims, patch.spacing, patch.origin,
                               np.zeros(dims + (m,)))
     inner = tuple(slice(1, -1) for _ in dims)
@@ -654,3 +663,17 @@ def test_solve_scherk_from_exact_boundary_data():
         errs.append(np.max(np.abs(patch.values - exact)))
     # second order: the error falls like h^2 from 32 to 64 cells per axis
     assert errs[1] / errs[2] >= 0.9 * 4
+
+
+def test_solver_forms_no_log_v(monkeypatch):
+    # the solver reads only g^{-1}; no residual or action needs v
+    def no_log_v(*args, **kwargs):
+        raise AssertionError("the solver needs no log v")
+
+    monkeypatch.setattr(grassmann, "log_slope", no_log_v)
+    slag = model_slag_exp()
+    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
+    patch.values[1:-1, 1:-1] = 0.0
+    assert solver.solve(patch).converged
+    x = patch.node_coords()
+    assert np.max(np.abs(solver.residual_strong(slag.jacobian(x), slag.hessian(x)))) < 1e-12
