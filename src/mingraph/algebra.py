@@ -6,8 +6,9 @@ right-hand side of the Delta log v identity together with its three-way
 regrouping, and seeded random samplers for the two pointwise differential
 inequalities and the xi_11 concentration estimate.
 
-All scans and samplers take explicit seeds and produce identical reports for
-identical inputs, independent of the thread count.
+Every report is a function of its inputs alone: the scans run their grid
+slices and the samplers their seeded chunks in order, in the calling thread.
+``verify-algebra --threads`` runs whole reports in parallel instead.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from mingraph.grassmann import log_slope, metric_inverse
-from mingraph.util import _unbatch, chunk_ranges, run_chunks
+from mingraph.util import _unbatch, chunk_ranges
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
 CONSTRAINT_SLACK = 1e-12  # keeps exact equality loci admissible under rounding
+MU_MAX = 4.0  # the scans cover [0, MU_MAX]^3
 SQRT2 = np.sqrt(2.0)
 
 _CHUNK = 20000
@@ -65,7 +67,7 @@ def phi(mu1: float, mu2: float, mu3: float) -> float:
     return 4.0 + mu1 * mu2 * mu3 - mu1 * mu2 - mu1 * mu3 - mu2 * mu3
 
 
-def _pairwise_limit(mu_max_entry, tol=CONSTRAINT_SLACK):
+def _pairwise_limit(mu_max_entry):
     """Sharp pairwise bound 2 + 2/(max_k mu_k - 1); +inf when max_k mu_k <= 1.
 
     Below max mu = 1 the raw expression has a negative denominator; the region
@@ -73,7 +75,7 @@ def _pairwise_limit(mu_max_entry, tol=CONSTRAINT_SLACK):
     flagged in the report.
     """
     limit = np.full_like(mu_max_entry, np.inf, dtype=float)
-    above = mu_max_entry > 1.0 + tol
+    above = mu_max_entry > 1.0 + CONSTRAINT_SLACK
     limit[above] = 2.0 + 2.0 / (mu_max_entry[above] - 1.0)
     return limit
 
@@ -100,88 +102,75 @@ def _argmin_key(vals, m1, p2, p3):
     )
 
 
-def _scan_grid(grid_step, mu_max, ceiling, floor, tol, threads) -> dict:
-    """Scan phi over the admissible triples of a uniform grid on [0, mu_max]^3.
+def _scan_grid(grid_step, ceiling, floor) -> dict:
+    """Scan phi over the admissible triples of a uniform grid on [0, MU_MAX]^3.
 
     A triple is admissible when its largest pairwise product is at most
     ``ceiling`` (``None``: the sharp limit of its largest entry, see
     ``_pairwise_limit``).  Returns the grid step, the admissible count, the
-    minimum of phi and its argmin, the counts of phi < floor - tol, of
-    pairwise products > 4 + tol and of triples with every entry <= 1, and the
-    largest admissible pairwise product.
+    minimum of phi and its argmin, the counts of phi < floor - NONNEG_TOL, of
+    pairwise products > 4 + NONNEG_TOL and of triples with every entry <= 1,
+    and the largest admissible pairwise product.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    k = max(1, int(round(mu_max / grid_step)))
-    grid = np.arange(k + 1) * (mu_max / k)
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    k = max(1, int(round(MU_MAX / grid_step)))
+    grid = np.arange(k + 1) * (MU_MAX / k)
     m2, m3 = np.meshgrid(grid, grid, indexing="ij")
     m2, m3 = m2.ravel(), m3.ravel()
     # m1-free parts: for m1 >= 0, m1 * max(m2, m3) == max(m1 m2, m1 m3) exactly
     top23, prod23 = np.maximum(m2, m3), m2 * m3
-
-    def scan_slice(rng):
-        true_min, worst_pair = np.inf, -np.inf
-        best_key = (np.inf, (np.inf,) * 3, (0.0, 0.0, 0.0))
-        counts = (0, 0, 0, 0)
-        for m1 in grid[slice(*rng)]:
-            pairmax = np.maximum(m1 * top23, prod23)
-            limit = (_pairwise_limit(np.maximum(m1, top23)) if ceiling is None
-                     else ceiling)
-            adm = pairmax <= limit + CONSTRAINT_SLACK
-            if not np.any(adm):
-                continue
-            p2, p3, pp = m2[adm], m3[adm], pairmax[adm]
-            vals = 4.0 + m1 * p2 * p3 - m1 * p2 - m1 * p3 - p2 * p3
-            low = np.count_nonzero(top23[adm] <= 1.0) if m1 <= 1.0 else 0
-            found = (vals.size, np.count_nonzero(vals < floor - tol),
-                     np.count_nonzero(pp > 4.0 + tol), low)
-            counts = tuple(c + int(f) for c, f in zip(counts, found))
-            true_min = min(true_min, float(np.min(vals)))
-            best_key = min(best_key, _argmin_key(vals, m1, p2, p3))
-            worst_pair = max(worst_pair, float(np.max(pp)))
-        return true_min, best_key, counts, worst_pair
-
-    results = run_chunks(scan_slice, chunk_ranges(grid.size, 16), threads)
-    counts = [sum(r[2][j] for r in results) for j in range(4)]
+    true_min, worst_pair = np.inf, -np.inf
+    best_key = (np.inf, (np.inf,) * 3, (0.0, 0.0, 0.0))
+    counts = [0, 0, 0, 0]
+    for m1 in grid:
+        pairmax = np.maximum(m1 * top23, prod23)
+        limit = _pairwise_limit(np.maximum(m1, top23)) if ceiling is None else ceiling
+        adm = pairmax <= limit + CONSTRAINT_SLACK
+        if not np.any(adm):
+            continue
+        p2, p3, pp = m2[adm], m3[adm], pairmax[adm]
+        vals = phi(m1, p2, p3)
+        low = np.count_nonzero(top23[adm] <= 1.0) if m1 <= 1.0 else 0
+        found = (vals.size, np.count_nonzero(vals < floor - NONNEG_TOL),
+                 np.count_nonzero(pp > 4.0 + NONNEG_TOL), low)
+        counts = [c + int(f) for c, f in zip(counts, found)]
+        true_min = min(true_min, float(np.min(vals)))
+        best_key = min(best_key, _argmin_key(vals, m1, p2, p3))
+        worst_pair = max(worst_pair, float(np.max(pp)))
     return {
-        "grid_step": mu_max / k,
+        "grid_step": MU_MAX / k,
         "samples": counts[0],
-        "min_value": min(r[0] for r in results),
-        "argmin": list(min(r[1] for r in results)[2]),
+        "min_value": true_min,
+        "argmin": list(best_key[2]),
         "phi_violations": counts[1],
         "pairwise_gt4": counts[2],
         "low": counts[3],
-        "max_pair": max(r[3] for r in results),
+        "max_pair": worst_pair,
     }
 
 
-def scan_mu123(
-    grid_step: float,
-    mu_max: float = 4.0,
-    tol: float = NONNEG_TOL,
-    constraint: str = "sharp",
-    threads: int = 1,
-) -> ScanReport:
+def scan_mu123(grid_step: float, constraint: str = "sharp") -> ScanReport:
     """Exhaustive grid scan of phi >= 0 on the constrained region.
 
-    Enumerates all triples on a uniform grid over [0, mu_max]^3 that satisfy
+    Enumerates all triples on a uniform grid over [0, MU_MAX]^3 that satisfy
     the pairwise-product constraint (``constraint="sharp"``), asserts
-    phi >= -tol on each, and additionally asserts that every admissible
-    triple has all pairwise products <= 4 + tol.  With
+    phi >= -NONNEG_TOL on each, and additionally asserts that every
+    admissible triple has all pairwise products <= 4 + NONNEG_TOL.  With
     ``constraint="pairwise_le_4"`` the hypothesis is deliberately weakened to
     mu_i mu_j <= 4; violations are then expected and demonstrate sharpness.
     """
     if constraint not in ("sharp", "pairwise_le_4"):
         raise ValueError(f"unknown constraint '{constraint}'")
     sharp = constraint == "sharp"
-    scan = _scan_grid(grid_step, mu_max, None if sharp else 4.0, 0.0, tol, threads)
+    scan = _scan_grid(grid_step, None if sharp else 4.0, 0.0)
     n_pair_viol = scan["pairwise_gt4"] if sharp else 0
     return ScanReport(
         check="mu123" if sharp else "mu123-weakened",
         params={
             "grid_step": scan["grid_step"],
-            "mu_max": mu_max,
-            "tol": tol,
+            "mu_max": MU_MAX,
+            "tol": NONNEG_TOL,
             "constraint": constraint,
         },
         samples=scan["samples"],
@@ -197,22 +186,21 @@ def scan_mu123(
     )
 
 
-def scan_mu123_lambda(
-    lam: float,
-    grid_step: float,
-    mu_max: float = 4.0,
-    tol: float = NONNEG_TOL,
-    threads: int = 1,
-) -> ScanReport:
-    """Grid check of phi >= (2 - sqrt(2)) (2 - Lambda^2) under pairwise <= Lambda^2."""
+def _check_lambda(lam):
+    """Refuse a 2-dilation bound Lambda outside (0, sqrt(2)]."""
     if not 0.0 < lam <= SQRT2 + 1e-12:
-        raise ValueError("Lambda must lie in (0, sqrt(2)]")
+        raise ValueError(f"Lambda must lie in (0, sqrt(2)], got {lam!r}")
+
+
+def scan_mu123_lambda(lam: float, grid_step: float) -> ScanReport:
+    """Grid check of phi >= (2 - sqrt(2)) (2 - Lambda^2) under pairwise <= Lambda^2."""
+    _check_lambda(lam)
     bound = (2.0 - SQRT2) * (2.0 - lam * lam)
-    scan = _scan_grid(grid_step, mu_max, lam * lam, bound, tol, threads)
+    scan = _scan_grid(grid_step, lam * lam, bound)
     return ScanReport(
         check="mu123-lambda",
-        params={"Lambda": lam, "grid_step": scan["grid_step"], "mu_max": mu_max,
-                "tol": tol},
+        params={"Lambda": lam, "grid_step": scan["grid_step"], "mu_max": MU_MAX,
+                "tol": NONNEG_TOL},
         samples=scan["samples"],
         min_value=scan["min_value"],
         argmin=scan["argmin"],
@@ -358,19 +346,21 @@ def _rejection_sample(rng, count: int, propose, accept) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _sampled_report(check, params, samples, seed, chunk, threads, pick=min):
+def _sampled_report(check, params, samples, seed, chunk, pick=min):
     """Report the ``pick`` of ``chunk(rng, count) -> (value, arg, violations)``.
 
-    ``samples`` is split into fixed chunks of ``_CHUNK``, each drawing from
-    its own ``SeedSequence([seed, start])``, so the report does not depend on
-    ``threads``.  Violations are summed over the chunks.
+    ``samples`` is split into fixed chunks of ``_CHUNK``, run in order, each
+    drawing from its own ``SeedSequence([seed, start])``.  Violations are
+    summed over the chunks.  A ``SamplingFailureError`` is raised again with
+    the check and its params in front.
     """
-
-    def run(rng_range):
-        lo, hi = rng_range
-        return chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])), hi - lo)
-
-    results = run_chunks(run, chunk_ranges(samples, _CHUNK), threads)
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    try:
+        results = [chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])), hi - lo)
+                   for lo, hi in chunk_ranges(samples, _CHUNK)]
+    except SamplingFailureError as exc:
+        raise SamplingFailureError(f"{check} {params}: {exc}") from exc
     value, arg, _ = pick(results, key=lambda t: t[0])
     return ScanReport(check=check, params=params, samples=samples, min_value=value,
                       argmin=arg, violations=sum(r[2] for r in results), seed=seed)
@@ -395,7 +385,7 @@ def _sort_descending(x):
     return x
 
 
-def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, threads=1):
+def _margin_report(check, params, samples, seed, n, m, accept, margin_fn):
     """Smallest ``margin_fn(lam, h)`` over spectra passing ``accept`` and random h.
 
     Spectra are sorted descending and uniform on [0, 3]^n before ``accept``.
@@ -411,23 +401,19 @@ def _margin_report(check, params, samples, seed, n, m, accept, margin_fn, thread
         return (
             float(margin[i]),
             [float(x) for x in lam[i]],
-            int(np.count_nonzero(margin < -params["tol"])),
+            int(np.count_nonzero(margin < -NONNEG_TOL)),
         )
 
-    return _sampled_report(check, params, samples, seed, chunk, threads)
+    return _sampled_report(check, params, samples, seed, chunk)
 
 
-def check_sqrt2_inequality(
-    samples: int, seed: int, n: int = 3, m: int = 3, threads: int = 1
-) -> ScanReport:
+def check_sqrt2_inequality(samples: int, seed: int, n: int = 3, m: int = 3) -> ScanReport:
     """Random check of the sqrt(2) pointwise inequality.
 
     Draws sorted spectra with lam_1^2 lam_i^2 <= 2 + lam_i^2 for i >= 2 and
     random symmetric h, and asserts that the Delta log v right-hand side
     dominates the normal-excess + weighted-diagonal bound on every sample.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
 
     def accept(lam):
         rest = lam[:, 1:]
@@ -440,22 +426,14 @@ def check_sqrt2_inequality(
         return rhs - (parts[..., 0] + parts[..., 1])
 
     return _margin_report("sqrt2-logv", {"n": n, "m": m, "tol": NONNEG_TOL},
-                          samples, seed, n, m, accept, margin, threads)
+                          samples, seed, n, m, accept, margin)
 
 
 def check_lambda_inequality(
-    lam_bound: float,
-    samples: int,
-    seed: int,
-    n: int = 3,
-    m: int = 3,
-    threads: int = 1,
+    lam_bound: float, samples: int, seed: int, n: int = 3, m: int = 3
 ) -> ScanReport:
     """Random check of the Lambda-quantified inequality for lam_1 lam_2 <= Lambda."""
-    if not 0.0 < lam_bound <= SQRT2 + 1e-12:
-        raise ValueError("Lambda must lie in (0, sqrt(2)]")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    _check_lambda(lam_bound)
 
     def accept(lam):
         if lam.shape[1] < 2:
@@ -468,7 +446,7 @@ def check_lambda_inequality(
 
     return _margin_report("lambda-logv",
                           {"Lambda": lam_bound, "n": n, "m": m, "tol": NONNEG_TOL},
-                          samples, seed, n, m, accept, margin, threads)
+                          samples, seed, n, m, accept, margin)
 
 
 def xi11(a: np.ndarray) -> np.ndarray:
@@ -484,13 +462,7 @@ def _dilation_and_detb(a: np.ndarray):
     return np.abs(det), 1.0 + (a * a).sum(axis=(1, 2)) + det * det
 
 
-def xi11_sampler(
-    lam_bound: float,
-    eps: float,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-) -> ScanReport:
+def xi11_sampler(lam_bound: float, eps: float, samples: int, seed: int) -> ScanReport:
     """Sampling experiment for the near-diagonal xi_11 concentration estimate.
 
     Samples 2 x 2 matrices ``a`` with lam_1 lam_2 <= Lambda and
@@ -501,8 +473,8 @@ def xi11_sampler(
     The estimate itself is asymptotic in eps; the testable contract is that
     the reported max is non-increasing as eps decreases.
     """
-    if lam_bound <= 0 or not 0.0 < eps < 1.0 or samples <= 0:
-        raise ValueError("need Lambda > 0, eps in (0, 1), samples > 0")
+    if lam_bound <= 0 or not 0.0 < eps < 1.0:
+        raise ValueError("need Lambda > 0 and eps in (0, 1)")
     a_min = (1.0 - eps) / np.sqrt(1.0 - (1.0 - eps) ** 2)
     a_max = max(3.0 * a_min, 12.0)  # the sup of |xi_11| is approached at large a_11
 
@@ -525,6 +497,6 @@ def xi11_sampler(
 
     report = _sampled_report("xi11-limit",
                              {"Lambda": lam_bound, "eps": eps, "n": 2, "m": 2},
-                             samples, seed, chunk, threads, pick=max)
+                             samples, seed, chunk, pick=max)
     report.max_value = report.min_value
     return report

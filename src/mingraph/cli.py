@@ -137,8 +137,8 @@ def cmd_verify_algebra(args) -> int:
     eps_values = [float(v) for v in cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01])]
     _log(out, f"verify-algebra seed={seed} threads={threads}")
 
-    # one pool over the reports, each run on one thread: a report does not
-    # depend on its thread count, and a pool per report idles on its last chunk
+    # the one pool of algebra work: whole reports, each running its grid
+    # slices or seeded chunks in order on one thread
     jobs = [partial(algebra.scan_mu123, step, constraint=constraint)]
     jobs += [partial(algebra.scan_mu123_lambda, lam, step) for lam in lam_values]
     jobs.append(partial(algebra.check_sqrt2_inequality, samples, seed))

@@ -186,14 +186,9 @@ class PlaneBasis:
         return self.vectors.shape[1]
 
     @classmethod
-    def coordinate(cls, dim: int, ambient: int, axes=None) -> "PlaneBasis":
-        """Span of coordinate axes (default: the first ``dim``)."""
-        if axes is None:
-            axes = range(dim)
-        V = np.zeros((dim, ambient))
-        for row, axis in enumerate(axes):
-            V[row, axis] = 1.0
-        return cls(V)
+    def coordinate(cls, dim: int, ambient: int) -> "PlaneBasis":
+        """Span of the first ``dim`` coordinate axes."""
+        return cls(np.eye(dim, ambient))
 
 
 def graph_plane_basis(jacobian) -> PlaneBasis:

@@ -313,12 +313,25 @@ def test_out_of_memory_is_invalid_input(capsys, monkeypatch):
 
 
 def test_unsamplable_lambda_is_invalid_input(tmp_path, capsys):
-    # at Lambda = 1e-9 the Lambda sampler accepts no draw out of 1e7
+    # at Lambda = 1e-9 the Lambda sampler accepts no draw out of 1e7; of the
+    # two lam_values the error names that check and its Lambda
     cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.25, "samples": 100, "seed": 1,
-                                          "lam_values": [1e-9], "eps_values": [0.3]})
+                                          "lam_values": [1e-9, 0.5], "eps_values": [0.3]})
     out = tmp_path / "o"
     assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
-    assert "no accepted draw" in _error_line(capsys)
+    assert _error_line(capsys) == ("error: lambda-logv {'Lambda': 1e-09, 'n': 3, 'm': 3, "
+                                   "'tol': 1e-09}: no accepted draw in 1e7")
+    assert not (out / "verify_algebra.json").exists()
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan])
+def test_verify_algebra_non_finite_grid_step_is_invalid_input(step, tmp_path, capsys):
+    # JSON readers accept Infinity and NaN; neither is a grid step
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": step, "samples": 100, "seed": 1})
+    out = tmp_path / "o"
+    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "grid_step" in line and repr(step) in line
     assert not (out / "verify_algebra.json").exists()
 
 

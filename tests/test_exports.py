@@ -1,9 +1,11 @@
 """The package's public surface: every export resolves, removed names stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import mingraph
+from mingraph import algebra, grassmann
 
 # Definitions deleted or moved into the tests as reference oracles.  None of
 # them may come back as a public or private name of the package.
@@ -46,3 +48,17 @@ def test_removed_names_stay_removed():
              for module in package_modules()}
     assert {name: names for name, names in found.items() if names} == {}
     assert not REMOVED & set(mingraph.__all__)
+
+
+def test_algebra_checks_take_no_per_report_knobs():
+    # verify-algebra's report pool is the one place algebra work runs in
+    # parallel, and the scans cover the fixed box [0, MU_MAX]^3 with tolerance
+    # NONNEG_TOL: no public function takes a thread count, box or tolerance
+    knobs = {name: sorted({"threads", "mu_max", "tol"}
+                          & set(inspect.signature(fn).parameters))
+             for name, fn in inspect.getmembers(algebra, inspect.isfunction)
+             if fn.__module__ == algebra.__name__ and not name.startswith("_")}
+    assert {name: found for name, found in knobs.items() if found} == {}
+    assert "scan_mu123" in knobs and "xi11_sampler" in knobs
+    params = inspect.signature(grassmann.PlaneBasis.coordinate).parameters
+    assert list(params) == ["dim", "ambient"]
