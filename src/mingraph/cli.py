@@ -69,6 +69,14 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _seed(args, cfg) -> int:
+    """The run's seed: ``--seed``, else the config's 'seed' (default 1)."""
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out if args.out is not None else ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -128,7 +136,7 @@ def cmd_invariants(args) -> int:
 def cmd_verify_algebra(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
+    seed = _seed(args, cfg)
     threads = args.threads
     step = float(cfg.get("grid_step", 0.05))
     samples = _integer(cfg.get("samples", 100000), "samples")
@@ -211,7 +219,7 @@ def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     model = _get_model(cfg)
-    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
+    seed = _seed(args, cfg)
     step = float(cfg.get("step", 1e-3))
     lam_bound = float(cfg.get("lam_bound", math.sqrt(2.0)))
     _log(out, f"diagnose model={model.label} seed={seed}")

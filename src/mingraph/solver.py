@@ -25,7 +25,8 @@ from mingraph.grassmann import metric_inverse
 from mingraph.util import grid_points
 
 DEFAULT_TOL = 1e-10
-_GMRES_RTOL = 1e-12  # relative residual every linear solve aims for
+_GMRES_RTOL = 1e-12  # smallest relative residual a linear solve aims for
+_ETA_MAX = 0.1  # largest relative residual a Newton step's linear solve may keep
 _GMRES_RESTART = 60  # Krylov vectors kept before GMRES restarts
 _GMRES_CYCLES = 5  # GMRES cycles before a linear solve counts as missed
 
@@ -173,9 +174,10 @@ class SolveReport:
     """Outcome of ``solve``.
 
     ``iteration_log`` holds one dict per Newton iteration: residual, step,
-    seconds to freeze the coefficients (``assemble_s``) and to run GMRES
-    (``solve_s``), GMRES iterations, and ``gmres_converged``, false when a
-    linear solve missed its tolerance (a Picard step sums both solves).
+    the relative GMRES tolerance ``eta`` of its linear solves, seconds to
+    freeze the coefficients (``assemble_s``) and to run GMRES (``solve_s``),
+    GMRES iterations, and ``gmres_converged``, false when a linear solve
+    missed its tolerance (a Picard step sums both solves).
     ``converged`` is judged on the strong residual alone.  The log is left
     out of ``to_dict`` because its timings vary between runs.
     """
@@ -262,7 +264,7 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
     return action
 
 
-def _krylov_solve(patch: GraphPatch, action, rhs):
+def _krylov_solve(patch: GraphPatch, action, rhs, rtol: float = _GMRES_RTOL):
     """Solve action(x) = rhs (inner dims + (m,)) by preconditioned GMRES.
 
     Restarted GMRES (Saad & Schultz 1986) from x = 0, left-preconditioned by
@@ -270,7 +272,7 @@ def _krylov_solve(patch: GraphPatch, action, rhs):
     dlartg forms them between under- and overflow.  A cycle stops on the
     preconditioned residual at a tolerance that the true residual rescales
     after each cycle.  Returns x and its stats: seconds, GMRES iterations,
-    and whether the relative residual reached ``_GMRES_RTOL`` within
+    and whether the true residual fell to ``rtol`` times |rhs| within
     ``_GMRES_CYCLES`` cycles of ``_GMRES_RESTART`` iterations.
     """
     shape, b = rhs.shape, rhs.ravel()
@@ -284,7 +286,7 @@ def _krylov_solve(patch: GraphPatch, action, rhs):
     givens = np.zeros((restart, 2))
     x, r, iterations, factor = np.zeros(b.size), b.copy(), 0, 1.0
     rnorm = bnorm = np.linalg.norm(b)
-    atol = _GMRES_RTOL * bnorm
+    atol = rtol * bnorm
     if bnorm:  # a zero rhs is solved by x = 0
         ptol = np.linalg.norm(precondition(b)) * min(1.0, atol / bnorm)
     for _ in range(_GMRES_CYCLES if bnorm else 0):
@@ -356,9 +358,13 @@ def solve(
     is accepted when it lowers the residual by the factor 1 - 1e-4 t; from
     t = 1 it is halved down to 2^-10, above the residual's rounding noise,
     and then a frozen-coefficient Picard step is tried.  Each linear step
-    is one ``_krylov_solve`` of ``_jacobian_action``.  Divergence (residual
-    above 10x the best for 20 consecutive iterations) aborts with the best
-    iterate restored.
+    is one ``_krylov_solve`` of ``_jacobian_action`` (inexact Newton): its
+    relative tolerance eta starts at 0.1 and then follows Eisenstat &
+    Walker's choice 2, 0.9 (|F_k| / |F_k-1|)^2 in the sup-norm, floored at
+    tol / (2 |F_k|_2) so that the last step is not solved past the stop
+    test, and kept within [``_GMRES_RTOL``, ``_ETA_MAX``].  A Picard step
+    takes its iteration's eta.  Divergence (residual above 10x the best for
+    20 consecutive iterations) aborts with the best iterate restored.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -366,11 +372,11 @@ def solve(
         harmonic_initial_guess(patch)
     inner = tuple(slice(1, -1) for _ in range(patch.n))
 
-    def linear_step(R, include_gradient_terms):
+    def linear_step(R, include_gradient_terms, eta):
         start = time.perf_counter()
         action = _jacobian_action(patch, include_gradient_terms)
         assembled = time.perf_counter() - start
-        delta, stats = _krylov_solve(patch, action, -R)
+        delta, stats = _krylov_solve(patch, action, -R, eta)
         stats["assemble_s"] = assembled
         return delta, stats
 
@@ -382,16 +388,21 @@ def solve(
     log = []
     bad_streak = 0
     it = 0
+    forcing = 0.1  # Eisenstat-Walker's eta_0
     while res_norm > tol and it < max_iter:
         it += 1
-        delta, stats = linear_step(R, include_gradient_terms=True)
+        # Kelley's floor: |.|_inf <= |.|_2, so the linear model is not solved
+        # past the stop test
+        floor = 0.5 * tol / float(np.linalg.norm(R))
+        eta = min(_ETA_MAX, max(forcing, floor, _GMRES_RTOL))
+        delta, stats = linear_step(R, include_gradient_terms=True, eta=eta)
         base = patch.values[inner].copy()
         # Newton steps 1, 1/2, ..., 2^-10, then the Picard step (-1), taken in
         # full with the coefficients frozen at ``base`` and no gradient terms
         for step in [0.5**k for k in range(11)] + [-1.0]:
             if step < 0:
                 patch.values[inner] = base
-                delta, picard = linear_step(R, include_gradient_terms=False)
+                delta, picard = linear_step(R, include_gradient_terms=False, eta=eta)
                 stats = dict({key: stats[key] + picard[key] for key in stats},
                              gmres_converged=stats["gmres_converged"]
                              and picard["gmres_converged"])
@@ -400,9 +411,12 @@ def solve(
             trial_norm = float(np.max(np.abs(trial)))
             if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
                 break
+        # Eisenstat-Walker choice 2 (gamma = 0.9, alpha = 2); their safeguard,
+        # 0.9 eta^2 once that exceeds 0.1, cannot act under _ETA_MAX = 0.1
+        forcing = 0.9 * (trial_norm / res_norm) ** 2
         R, res_norm = trial, trial_norm
         history.append(step)
-        log.append(dict(stats, iteration=it, residual=res_norm, step=step))
+        log.append(dict(stats, iteration=it, residual=res_norm, step=step, eta=eta))
         if res_norm < best_norm:
             best_norm = res_norm
             best_vals = patch.values.copy()

@@ -140,8 +140,9 @@ def test_solve_logs_each_newton_iteration(tmp_path):
     assert [entry["step"] for entry in lines] == report["damping_history"]
     assert lines[-1]["residual"] == report["residual"]
     for entry in lines:
-        assert set(entry) == {"iteration", "residual", "step", "assemble_s",
+        assert set(entry) == {"iteration", "residual", "step", "eta", "assemble_s",
                               "solve_s", "gmres_iterations", "gmres_converged"}
+        assert 1e-12 <= entry["eta"] <= 0.1
         assert min(entry["assemble_s"], entry["solve_s"]) >= 0.0
         assert entry["gmres_iterations"] >= 1
         assert entry["gmres_converged"] is True
@@ -418,6 +419,23 @@ def test_non_integral_config_value_is_invalid_input(sub, payload, key, tmp_path,
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert run([sub, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
     assert f"'{key}'" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("sub,payload", [
+    ("verify-algebra", {"grid_step": 0.5, "samples": 100}),
+    ("diagnose", {"model": "slag-exp", "points": {"count": 5}}),
+])
+@pytest.mark.parametrize("config_seed,flag", [(-1, []), (1, ["--seed", "-5"])])
+def test_negative_seed_is_invalid_input(sub, payload, config_seed, flag, tmp_path,
+                                        capsys):
+    # from the config or from --seed, the message names the seed and its value
+    cfg = write_cfg(tmp_path, "c.json", dict(payload, seed=config_seed))
+    code = run([sub, "--config", cfg, "--out", str(tmp_path / "o")] + flag)
+    assert code == cli.EXIT_INVALID
+    value = flag[-1] if flag else str(config_seed)
+    assert _error_line(capsys) == (
+        f"error: seed must be a non-negative integer, got {value}")
+    assert not (tmp_path / "o" / "run.log").exists()
 
 
 def test_integral_float_config_values_read_as_integers(tmp_path):

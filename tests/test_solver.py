@@ -375,10 +375,10 @@ def test_picard_fallback_converges_through_the_krylov_solve(monkeypatch):
     solves = []
     krylov_solve = solver._krylov_solve
 
-    def counting_solve(patch, action, rhs):
+    def counting_solve(patch, action, rhs, rtol):
         # the second solve, the first Picard one, reports a missed tolerance
-        x, stats = krylov_solve(patch, action, rhs)
-        solves.append(rhs.shape)
+        x, stats = krylov_solve(patch, action, rhs, rtol)
+        solves.append(rtol)
         return x, dict(stats, gmres_converged=stats["gmres_converged"]
                        and len(solves) != 2)
 
@@ -396,6 +396,9 @@ def test_picard_fallback_converges_through_the_krylov_solve(monkeypatch):
     assert residuals == sorted(residuals, reverse=True)
     # a Newton and a Picard solve per fallback step, then one per Newton step
     assert len(solves) == 2 * 2 + (report.iterations - 2)
+    # both solves of a fallback step run at the eta its log entry shows
+    etas = [entry["eta"] for entry in report.iteration_log]
+    assert solves == [etas[0]] * 2 + [etas[1]] * 2 + etas[2:]
     # a Picard step's log entry flags a miss of either of its two solves
     flags = [entry["gmres_converged"] for entry in report.iteration_log]
     assert flags == [False] + [True] * (report.iterations - 1)
@@ -427,8 +430,8 @@ def scaled_linear_steps(monkeypatch, factor):
     """Make every Krylov solve return ``factor`` times its solution."""
     krylov_solve = solver._krylov_solve
 
-    def scaled(patch, action, rhs):
-        x, stats = krylov_solve(patch, action, rhs)
+    def scaled(patch, action, rhs, rtol):
+        x, stats = krylov_solve(patch, action, rhs, rtol)
         return factor * x, stats
 
     monkeypatch.setattr(solver, "_krylov_solve", scaled)
@@ -444,14 +447,18 @@ def slag_patch_from_harmonic_guess():
 def test_damped_newton_step_is_accepted(monkeypatch):
     # a Newton step 4x too long fails the line search at t = 1 and 1/2 and
     # passes at t = 1/4, which is exactly the Newton step: the iterates are
-    # those of the undamped solve, bit for bit
+    # those of the undamped solve, bit for bit.  The linear steps are solved
+    # to _GMRES_RTOL: an inexact step's linear residual can carry twice the
+    # step past the sufficient-decrease test
+    monkeypatch.setattr(solver, "_ETA_MAX", solver._GMRES_RTOL)
     reference = slag_patch_from_harmonic_guess()
-    assert solver.solve(reference, initial_guess=False).damping_history == [1.0, 1.0]
+    undamped = solver.solve(reference, initial_guess=False)
+    assert undamped.damping_history == [1.0] * undamped.iterations
     patch = slag_patch_from_harmonic_guess()
     scaled_linear_steps(monkeypatch, 4.0)
     report = solver.solve(patch, initial_guess=False)
     assert report.converged
-    assert report.damping_history == [0.25, 0.25]
+    assert report.damping_history == [0.25] * undamped.iterations
     assert np.array_equal(patch.values, reference.values)
 
 
@@ -556,13 +563,17 @@ def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims):
     assert residual <= solver._GMRES_RTOL * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("restart, cycles, restarted, converged", [
-    (60, 5, False, True),  # within the first cycle
-    (8, 20, True, True),  # through restarts
-    (3, 2, True, False),  # tolerance missed after two cycles
+@pytest.mark.parametrize("restart, cycles, rtol, restarted, converged", [
+    # within the first cycle, at the floor and at two forcing terms
+    pytest.param(60, 5, 1e-12, False, True, id="60-5-False-True"),
+    pytest.param(60, 5, 1e-3, False, True, id="60-5-False-True-rtol1e-3"),
+    pytest.param(60, 5, 0.1, False, True, id="60-5-False-True-rtol0.1"),
+    pytest.param(8, 20, 1e-12, True, True, id="8-20-True-True"),  # through restarts
+    # tolerance missed after two cycles
+    pytest.param(3, 2, 1e-12, True, False, id="3-2-True-False"),
 ])
-def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, restarted,
-                                          converged):
+def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, rtol,
+                                          restarted, converged):
     # the GMRES loop against scipy's, on a nonsymmetric Newton system: same
     # iterations, same outcome and the same x
     import scipy.sparse.linalg as spla
@@ -571,7 +582,7 @@ def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, restarte
     patch = smooth_patch((9, 8, 7), 2, seed=3)
     action = solver._jacobian_action(patch, include_gradient_terms=True)
     rhs = -solver.strong_residual_field(patch)
-    x, stats = solver._krylov_solve(patch, action, rhs)
+    x, stats = solver._krylov_solve(patch, action, rhs, rtol)
 
     def precondition(r):
         return solver._poisson_solve(patch, r.reshape(rhs.shape)).ravel()
@@ -579,13 +590,33 @@ def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, restarte
     size, steps = rhs.size, []
     expected, info = spla.gmres(
         spla.LinearOperator((size, size), matvec=action, dtype=float), rhs.ravel(),
-        rtol=solver._GMRES_RTOL, restart=restart, maxiter=cycles,
+        rtol=rtol, restart=restart, maxiter=cycles,
         M=spla.LinearOperator((size, size), matvec=precondition, dtype=float),
         callback=steps.append, callback_type="pr_norm")
     assert stats["gmres_converged"] is (info == 0) is converged
     assert stats["gmres_iterations"] == len(steps)
     assert (len(steps) > restart) is restarted
     assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_forcing_term_saves_gmres_work_at_no_cost_in_accuracy(monkeypatch):
+    # slag-exp on 33^2 as shipped, and with every linear step solved to the
+    # floor _GMRES_RTOL (a fixed-tolerance Newton solve): the forcing term
+    # must take at most half the GMRES iterations and land on the same values
+    runs = []
+    for eta_max in (solver._ETA_MAX, solver._GMRES_RTOL):
+        monkeypatch.setattr(solver, "_ETA_MAX", eta_max)
+        patch = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], (33, 33), 1 / 32)
+        patch.values[1:-1, 1:-1] = 0.0
+        report = solver.solve(patch)
+        assert report.converged
+        etas = [entry["eta"] for entry in report.iteration_log]
+        assert all(solver._GMRES_RTOL <= eta <= eta_max for eta in etas)
+        work = sum(entry["gmres_iterations"] for entry in report.iteration_log)
+        runs.append((work, patch.values))
+    (forcing_work, forcing), (fixed_work, fixed) = runs
+    assert 2 * forcing_work <= fixed_work
+    assert np.max(np.abs(forcing - fixed)) <= 1e-10 * np.max(np.abs(fixed))
 
 
 def test_krylov_solve_degenerate_systems_stay_finite():
