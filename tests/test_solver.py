@@ -445,21 +445,24 @@ def slag_patch_from_harmonic_guess():
 
 
 def test_damped_newton_step_is_accepted(monkeypatch):
-    # a Newton step 4x too long fails the line search at t = 1 and 1/2 and
-    # passes at t = 1/4, which is exactly the Newton step: the iterates are
-    # those of the undamped solve, bit for bit.  The linear steps are solved
-    # to _GMRES_RTOL: an inexact step's linear residual can carry twice the
-    # step past the sufficient-decrease test
-    monkeypatch.setattr(solver, "_ETA_MAX", solver._GMRES_RTOL)
-    reference = slag_patch_from_harmonic_guess()
-    undamped = solver.solve(reference, initial_guess=False)
-    assert undamped.damping_history == [1.0] * undamped.iterations
-    patch = slag_patch_from_harmonic_guess()
-    scaled_linear_steps(monkeypatch, 4.0)
-    report = solver.solve(patch, initial_guess=False)
-    assert report.converged
-    assert report.damping_history == [0.25] * undamped.iterations
-    assert np.array_equal(patch.values, reference.values)
+    # a Newton step 4x too long fails the line search at t = 1, and t = 1/2
+    # fails or is halved on to t = 1/4, which is exactly the Newton step: the
+    # iterates are those of the undamped solve, bit for bit.  As shipped,
+    # the inexact step's linear residual lets t = 1/2 pass on iteration 2;
+    # solved to _GMRES_RTOL, t = 1/2 fails outright
+    krylov_solve = solver._krylov_solve
+    for eta_max in (solver._ETA_MAX, solver._GMRES_RTOL):
+        monkeypatch.setattr(solver, "_ETA_MAX", eta_max)
+        monkeypatch.setattr(solver, "_krylov_solve", krylov_solve)
+        reference = slag_patch_from_harmonic_guess()
+        undamped = solver.solve(reference, initial_guess=False)
+        assert undamped.damping_history == [1.0] * undamped.iterations
+        patch = slag_patch_from_harmonic_guess()
+        scaled_linear_steps(monkeypatch, 4.0)
+        report = solver.solve(patch, initial_guess=False)
+        assert report.converged
+        assert report.damping_history == [0.25] * undamped.iterations
+        assert np.array_equal(patch.values, reference.values)
 
 
 def test_divergence_aborts_with_the_best_iterate_restored(monkeypatch):
@@ -556,7 +559,7 @@ def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims):
         patch = smooth_patch(dims, 2, seed=len(dims))
     action = solver._jacobian_action(patch, include_gradient_terms=True)
     rhs = -solver.strong_residual_field(patch)
-    x, stats = solver._krylov_solve(patch, action, rhs)
+    x, stats = solver._krylov_solve(patch, action, rhs, solver._GMRES_RTOL)
     assert stats["gmres_converged"]
     assert stats["gmres_iterations"] <= 40
     residual = np.linalg.norm(action(x.ravel()) - rhs.ravel())
@@ -625,8 +628,10 @@ def test_krylov_solve_degenerate_systems_stay_finite():
     patch = solver.GraphPatch(2, 1, (6, 6), 0.25, [0, 0], np.zeros((6, 6, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, zero_rhs = solver._krylov_solve(patch, np.negative, np.zeros((4, 4, 1)))
-        x, zero_action = solver._krylov_solve(patch, np.zeros_like, np.ones((4, 4, 1)))
+        _, zero_rhs = solver._krylov_solve(patch, np.negative, np.zeros((4, 4, 1)),
+                                          solver._GMRES_RTOL)
+        x, zero_action = solver._krylov_solve(patch, np.zeros_like, np.ones((4, 4, 1)),
+                                             solver._GMRES_RTOL)
     assert zero_rhs["gmres_iterations"] == 0 and zero_rhs["gmres_converged"]
     assert zero_action["gmres_iterations"] == 1 and not zero_action["gmres_converged"]
     assert np.array_equal(x, np.zeros((4, 4, 1)))
