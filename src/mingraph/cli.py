@@ -270,8 +270,7 @@ def cmd_measure(args) -> int:
         )
     center = np.asarray(center, dtype=float)
     _log(out, f"measure model={model.label}")
-    profile = measure.density_profile(model, center, np.asarray(radii), resolution,
-                                      threads=args.threads)
+    profile = measure.density_profile(model, center, radii, resolution, args.threads)
     wn = measure.unit_ball_volume(model.n)
     with open(out / "measure.csv", "w") as fh:
         fh.write("radius,volume,ratio,est_error\n")

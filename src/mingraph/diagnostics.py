@@ -16,9 +16,7 @@ import numpy as np
 
 from mingraph.algebra import SQRT2, lambda_lower_bound
 from mingraph.grassmann import log_slope, metric_inverse, slope, two_dilation
-from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, _unbatch, _usable_cpus
-
-_CHUNK = 20000
+from mingraph.util import _polar_ball_sum, _unbatch
 
 
 def _sff(jacobian, hessian):
@@ -170,24 +168,22 @@ def logv_identity(model, x, step: float, lam_bound: float = SQRT2) -> LogVReport
 
 
 def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
-    """Midpoint-rule integral of |B|^2 over the graph above the ball B_radius.
+    """Integral of |B|^2 over the graph above the ball B_radius, by a polar rule.
 
-    Integrates |B|^2 v over {x : cutoff <= |x| <= radius} in the base, the
-    cutoff ``VERTEX_CUTOFF_FRAC * radius`` excising possible cone vertices.
-    |B|^2 comes from ``sff_norm2``'s frame-free formula, so each point
-    carries its relative error of about eps * (1 + lam_1^2).  The chunks run
-    on every CPU the process may use, so memory is O(CPUs * chunk); the value
-    does not depend on the CPU count.
+    Integrates |B|^2 v over the base ball |x| <= radius with the polar Gauss
+    rule of ``util._polar_ball_sum`` at ``nodes_per_axis``; no node lies at a
+    cone vertex at the origin.  |B|^2 comes from ``sff_norm2``'s frame-free
+    formula, so each point carries its relative error of about eps * (1 + lam_1^2).
     """
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
     def integrand(x):
         J = model.jacobian(x)
-        return float(np.sum(_sff_norm2(J, model.hessian(x)) * np.exp(log_slope(J))))
+        return _sff_norm2(J, model.hessian(x)) * np.exp(log_slope(J))
 
-    return _ball_midpoint_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
-                              _CHUNK, VERTEX_CUTOFF_FRAC * radius, _usable_cpus())
+    return _polar_ball_sum(integrand, np.zeros(model.n), radius, nodes_per_axis,
+                           "nodes_per_axis")
 
 
 def curvature_growth_slope(model, radii, nodes_per_axis: int = 40):

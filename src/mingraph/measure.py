@@ -2,9 +2,10 @@
 
 The n-volume of a graph piece inside an ambient ball is the integral of the
 slope v over the base region where (x, u(x)) lies in the ball.  Since the
-ambient distance dominates the base distance, the integration box can be
-taken as the projected ball; a midpoint rule with one coarser level gives
-the error estimate.
+ambient distance dominates the base distance, that region lies in the
+projected ball, which the polar Gauss rule of ``util._polar_ball_sum``
+covers ray by ray from its centre; the same rule at half the node count
+gives the error estimate.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import numpy as np
 
 from mingraph.grassmann import log_slope
 from mingraph.models import AnalyticModel
-from mingraph.util import VERTEX_CUTOFF_FRAC, _ball_midpoint_sum, unit_ball_volume
+from mingraph.util import _polar_ball_sum, run_chunks, unit_ball_volume
 
-_CHUNK = 50000
+# relative floor of est_error: where the rule is exact, both passes can agree to the bit
+_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -55,39 +57,17 @@ class DensityProfile:
         return float(np.min(np.diff(self.ratios)))
 
 
-def _volume_once(model: AnalyticModel, center, radius, nodes, cutoff, threads):
-    """Midpoint-rule integral of v over domain cells whose graph point is in the ball."""
-
-    def volume(x):
-        x = x[np.asarray(model.in_domain(x))]
-        if x.size == 0:
-            return 0.0
-        # |(x, u(x)) - center| summed column by column in np.linalg.norm's
-        # order (the same bits), not row by row over a short last axis
-        cols = [*x.T, *model.value(x).T]
-        d2 = sum((col - c) ** 2 for col, c in zip(cols, center))
-        x = x[np.sqrt(d2) <= radius]
-        if x.size == 0:
-            return 0.0
-        return float(np.sum(np.exp(log_slope(model.jacobian(x)))))
-
-    return _ball_midpoint_sum(volume, center[: model.n], radius, nodes, _CHUNK, cutoff,
-                              threads)
-
-
 def graph_volume(
     model: AnalyticModel,
     center,
     radius: float,
     resolution: int = 64,
-    threads: int = 1,
 ) -> VolumeReport:
     """H^n of the graph inside the ambient ball B_radius(center).
 
-    ``center`` is an ambient point of length n + m.  The integration box is
-    the projected ball around center[:n]; if the base center is outside the
-    model domain (a cone vertex) a ball of radius 1e-3 * radius is excised
-    and its largest possible contribution is folded into the error estimate.
+    ``center`` is an ambient point of length n + m.  The polar rule of
+    ``util._polar_ball_sum`` runs at ``resolution`` and at ``resolution // 2``;
+    their difference, plus a rounding floor, is the error estimate.
     """
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -97,30 +77,26 @@ def graph_volume(
     n = model.n
     if center.shape != (n + model.m,):
         raise ValueError(f"center must be an ambient point of length {n + model.m}")
-    vertex = not bool(np.asarray(model.in_domain(center[:n])))
-    cutoff = VERTEX_CUTOFF_FRAC * radius if vertex else 0.0
-    # fine pass first, so that a fractional resolution fails before any work
-    fine = _volume_once(model, center, radius, resolution, cutoff, threads)
-    coarse = _volume_once(model, center, radius, resolution // 2, cutoff, threads)
-    err = abs(fine - coarse)
-    if vertex:
-        # the excised piece has volume at most sup v * omega_n * cutoff^n;
-        # bound sup v by the largest slope on a small ring around the vertex
-        ring = center[:n] + 2.0 * cutoff * _unit_ring(n)
-        ok = np.asarray(model.in_domain(ring))
-        if np.any(ok):
-            vmax = float(np.exp(np.max(log_slope(model.jacobian(ring[ok])))))
-            err += vmax * unit_ball_volume(n) * cutoff**n
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
+
+    def inside(x):
+        # |(x, u(x)) - center| summed column by column in np.linalg.norm's
+        # order (the same bits); the model sees only points of the base ball
+        d2 = sum((col - c) ** 2 for col, c in zip(x.T, center))
+        ok = (np.sqrt(d2) <= radius) & np.asarray(model.in_domain(x))
+        d2 = d2[ok] + sum((col - c) ** 2 for col, c in zip(model.value(x[ok]).T, center[n:]))
+        ok[ok] = np.sqrt(d2) <= radius
+        return ok
+
+    # fine pass first, so that a bad resolution fails before any work
+    fine, coarse = (_polar_ball_sum(lambda x: np.exp(log_slope(model.jacobian(x))),
+                                    center[:n], radius, nodes, "resolution", inside)
+                    for nodes in (resolution, resolution // 2))
+    err = abs(fine - coarse) + _ROUNDING * max(fine, unit_ball_volume(n) * radius**n)
     return VolumeReport(
         region=f"ball(r={radius!r})", value=fine, resolution=resolution, est_error=err
     )
-
-
-def _unit_ring(n: int) -> np.ndarray:
-    """A deterministic spread of unit directions in R^n."""
-    rng = np.random.default_rng(0)
-    d = rng.standard_normal((64, n))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
 def density_profile(
@@ -130,25 +106,26 @@ def density_profile(
     resolution: int = 64,
     threads: int = 1,
 ) -> DensityProfile:
-    """Normalized density ratios of the graph around an on-graph center."""
+    """Normalized density ratios of the graph around an on-graph center.
+
+    The radii run on ``threads`` workers, one ``graph_volume`` each; the
+    ratios do not depend on ``threads``.
+    """
     center = np.asarray(center, dtype=float)
     radii = np.asarray(radii, dtype=float)
     n = model.n
     base = center[:n]
     if bool(np.asarray(model.in_domain(base))):
-        if np.linalg.norm(model.graph_point(base) - center) > 1e-9 * (
-            1.0 + np.linalg.norm(center)
-        ):
+        gap = np.linalg.norm(model.graph_point(base) - center)
+        # written so that a NaN gap fails it
+        if not gap <= 1e-9 * (1.0 + np.linalg.norm(center)):
             raise ValueError("center does not lie on the graph")
-    wn = unit_ball_volume(n)
-    ratios, errors = [], []
-    for rho in radii:
-        rep = graph_volume(model, center, float(rho), resolution, threads)
-        ratios.append(rep.value / (wn * rho**n))
-        errors.append(rep.est_error / (wn * rho**n))
+    reports = run_chunks(lambda rho: graph_volume(model, center, float(rho), resolution),
+                         radii, threads)
+    scale = unit_ball_volume(n) * radii**n
     return DensityProfile(
         center=center,
         radii=radii,
-        ratios=np.array(ratios),
-        est_errors=np.array(errors),
+        ratios=np.array([rep.value for rep in reports]) / scale,
+        est_errors=np.array([rep.est_error for rep in reports]) / scale,
     )

@@ -1,9 +1,10 @@
-"""Small shared helpers: grid points, deterministic chunks, ball sums and volumes."""
+"""Small shared helpers: grid points, deterministic chunks, volumes, and the
+polar Gauss rule on balls that both ``measure`` and ``diagnostics`` integrate with.
+"""
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,10 +24,10 @@ def _unbatch(out):
 
 
 class _ChunkRanges:
-    """The (lo, hi) pieces of range(start, stop) of ``size`` each, made on demand."""
+    """The (lo, hi) pieces of range(stop) of ``size`` each, made on demand."""
 
-    def __init__(self, start: int, stop: int, size: int):
-        self._los = range(start, max(start, stop), size)
+    def __init__(self, stop: int, size: int):
+        self._los = range(0, stop, size)
         self._stop, self._size = stop, size
 
     def __len__(self) -> int:
@@ -45,14 +46,7 @@ def chunk_ranges(total: int, size: int) -> _ChunkRanges:
     A sized iterable whose pairs are made as they are read, so a grid of any
     size costs O(1) here.
     """
-    return _ChunkRanges(0, total, size)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _ChunkRanges(total, size)
 
 
 def run_chunks(fn, chunks, threads: int = 1) -> list:
@@ -78,63 +72,96 @@ def grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-# cutoff / radius of the ball around a possible cone vertex that the
-# volume and curvature quadratures excise
-VERTEX_CUTOFF_FRAC = 1e-3
+# points per chunk of rays, and at most per pass: directions x (scan + radial nodes)
+_CHUNK_POINTS = 65536
+_MAX_POINTS = 10**8
+# halvings that take a scan gap radius / S below an ulp of the radius
+_BISECTIONS = 52
 
-# chunks per run_chunks call in _ball_midpoint_sum
-_WINDOW = 256
 
+def _sphere_rule(n: int, k: int):
+    """Directions (d, n) and weights (d,) of a product rule on the sphere S^{n-1}.
 
-def _ball_midpoint_sum(fn, center, radius: float, nodes, chunk: int,
-                       cutoff: float = 0.0, threads: int = 1) -> float:
-    """Midpoint rule h^n sum fn(x) over the nodes^n cells of the box center +- radius.
-
-    ``fn`` gets, one chunk at a time, the (k, n) cell midpoints x with
-    cutoff <= |x - center| <= radius, and returns the float sum of its
-    integrand there.  A chunk is a fixed range of ``chunk`` flat cell indices
-    whose midpoints are built on demand, so memory is O(threads * chunk), not
-    O(nodes^n).  The chunks are fixed and their sums reduced pairwise in
-    order, so the result does not depend on ``threads``.
+    The azimuth takes the trapezoid rule with 2k nodes, and each further polar
+    angle in [0, pi] Gauss-Legendre with k nodes, its sin^j folded into the
+    weights, scaled to sum to |S^{n-1}| exactly.  S^0 is the two points +-1.
     """
-    if not float(nodes).is_integer() or nodes < 1:
-        raise ValueError(f"node count must be an integer >= 1, got {nodes!r}")
+    from numpy.polynomial.legendre import leggauss
+
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    phi = np.pi * np.arange(2 * k) / k
+    dirs, w = np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(2 * k, np.pi / k)
+    x, gw = leggauss(k)
+    theta = 0.5 * np.pi * (x + 1.0)
+    for j in range(1, n - 1):
+        # S^{j+1} from S^j: the points (cos theta, sin theta y), area sin^j theta dtheta dy
+        dirs = np.column_stack([np.repeat(np.cos(theta), len(dirs)),
+                                (np.sin(theta)[:, None, None] * dirs).reshape(-1, j + 1)])
+        w = np.outer(0.5 * np.pi * gw * np.sin(theta) ** j, w).ravel()
+    return dirs, w * (n * unit_ball_volume(n) / np.sum(w))
+
+
+def _inside_intervals(inside, center, dirs, radius: float, scan: int):
+    """(ray, start, end) of each interval of t in [0, radius] where inside(center + t d).
+
+    Each ray is read at t = radius j / scan, j = 1..scan, and every change
+    between two nodes is bisected to an ulp; a ray is taken as it is at its
+    first node from t = 0 on, so the center itself is never evaluated.
+    """
+    t = radius * np.arange(1, scan + 1) / scan
+    ins = inside((center + dirs[:, None, :] * t[:, None]).reshape(-1, center.size))
+    pad = np.zeros((len(dirs), 1), dtype=bool)
+    ins = np.concatenate([pad, ins.reshape(len(dirs), scan), pad], axis=1)
+    # edge g lies between t[g - 1] and t[g]: edge 0 is t = 0 and edge scan is
+    # t = radius exactly.  Each ray's edges alternate start, end.
+    ray, gap = np.nonzero(ins[:, 1:] != ins[:, :-1])
+    edge = np.where(gap == 0, 0.0, radius)
+    cut = np.flatnonzero((gap > 0) & (gap < scan))
+    lo, hi, lo_in = t[gap[cut] - 1], t[gap[cut]], ins[ray[cut], gap[cut]]
+    d = dirs[ray[cut]]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        same = inside(center + mid[:, None] * d) == lo_in
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    edge[cut] = 0.5 * (lo + hi)
+    return ray[::2], edge[::2], edge[1::2]
+
+
+def _polar_ball_sum(fn, center, radius: float, nodes, key: str, inside=None) -> float:
+    """Integral of ``fn`` over the x with |x - center| <= radius and inside(x).
+
+    ``fn`` maps points (k, n) to values (k,) and ``inside`` to a bool mask;
+    None means the whole ball.  Each ray of ``_sphere_rule`` is cut by
+    ``_inside_intervals``, and each inside interval takes Gauss-Legendre in t
+    with weight t^{n-1}, so no node lies at t = 0.  The node count N (the
+    config key ``key`` in errors) sets k = N // 4, a scan of S = 2k and
+    max(8, N // 16) radial nodes per interval.  Rays go in fixed chunks of
+    about _CHUNK_POINTS points, summed in order.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    if not float(nodes).is_integer() or nodes < 4:
+        raise ValueError(f"{key} must be an integer node count >= 4, got {nodes!r}")
     center = np.asarray(center, dtype=float)
-    n, nodes = center.size, int(nodes)
-    h = 2.0 * radius / nodes
-    axis = -radius + h * (np.arange(nodes) + 0.5)
-    axes = [c + axis for c in center]
-    squares = [(a - c) ** 2 for a, c in zip(axes, center)]
-
-    def piece(rng):
-        lo, hi = rng
-        # the chunk spans these rows along the last axis; a row's cells share
-        # their leading indices, so only the row starts are unravelled
-        rows = np.arange(lo // nodes, -(-hi // nodes))
-        lead = np.unravel_index(rows * nodes, (nodes,) * n)[:-1]
-        # |x - center|^2 summed axis by axis in np.linalg.norm's order: a cell
-        # dropped here never has its graph point (a longer norm) in the ball
-        d2 = np.add.outer(sum(sq[i] for sq, i in zip(squares, lead)), squares[-1])
-        r = np.sqrt(d2.reshape(-1)[lo % nodes : lo % nodes + hi - lo])
-        kept = np.flatnonzero((r >= cutoff) & (r <= radius)) + lo % nodes
-        if kept.size == 0:
-            return 0.0
-        row, col = np.divmod(kept, nodes)
-        x = [a[i[row]] for a, i in zip(axes, lead)] + [axes[-1][col]]
-        return fn(np.stack(x, axis=-1))
-
-    # the chunk sums are added pairwise in one fixed tree, the one that adding
-    # neighbours level by level gives: a stack holds the sum of each finished
-    # subtree, sizes falling, so memory is O(log chunks) and not O(chunks).
-    # Each run_chunks call covers _WINDOW chunks, which bounds the list it returns.
-    stack = []
-    for lo, hi in chunk_ranges(nodes**n, _WINDOW * chunk):
-        for val in run_chunks(piece, _ChunkRanges(lo, hi, chunk), threads):
-            size = 1
-            while stack and stack[-1][0] == size:
-                size, val = 2 * size, stack.pop()[1] + val
-            stack.append((size, val))
-    total = stack.pop()[1] if stack else 0.0
-    while stack:
-        total = stack.pop()[1] + total
-    return total * h**n
+    n, k = center.size, int(nodes) // 4
+    scan, q = 2 * k, max(8, int(nodes) // 16)
+    points = (2 if n == 1 else 2 * k ** (n - 1)) * (scan + q)
+    if points > _MAX_POINTS:
+        raise ValueError(f"{key} {nodes} asks for {points:.2e} quadrature points per "
+                         f"pass, above the ceiling {_MAX_POINTS:.0e}")
+    dirs, weights = _sphere_rule(n, k)
+    x, w = leggauss(q)
+    total = 0.0
+    for lo, hi in chunk_ranges(len(dirs), max(1, _CHUNK_POINTS // (scan + q))):
+        d = dirs[lo:hi]
+        if inside is None:
+            ray, a, b = np.arange(len(d)), np.zeros(len(d)), np.full(len(d), radius)
+        else:
+            ray, a, b = _inside_intervals(inside, center, d, radius, scan)
+        half = 0.5 * (b - a)
+        t = (a + half)[:, None] + half[:, None] * x
+        wt = (weights[lo:hi][ray] * half)[:, None] * w * t ** (n - 1)
+        pts = center + t[..., None] * d[ray][:, None, :]
+        total += float(np.sum(wt * fn(pts.reshape(-1, n)).reshape(t.shape)))
+    return total

@@ -344,6 +344,27 @@ def test_measure_non_finite_radius_is_invalid_input(tmp_path, capsys):
     assert "radius" in line and "nan" in line
 
 
+@pytest.mark.parametrize("model,center", [
+    ("slag-exp", [math.nan, 0.0, 1.0, 0.0]),
+    ("lawson-osserman", [math.nan] + [0.0] * 6),
+])
+def test_measure_non_finite_center_is_invalid_input(tmp_path, capsys, model, center):
+    cfg = write_cfg(tmp_path, "m.json", {"model": model, "center": center,
+                                          "radii": [1.0, 2.0], "resolution": 32})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_INVALID
+    assert "center" in _error_line(capsys)
+    assert not (tmp_path / "o" / "measure.csv").exists()
+
+
+def test_measure_resolution_above_the_ceiling_is_invalid_input(tmp_path, capsys):
+    # refused from the node count alone, before any direction is built
+    cfg = write_cfg(tmp_path, "m.json", {"model": "lawson-osserman", "radii": [1.0, 2.0],
+                                          "resolution": 10**6})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "resolution" in line and "ceiling" in line
+
+
 @pytest.mark.parametrize("sub", ["measure", "verify-algebra"])
 def test_threads_below_one_is_invalid_input(sub, capsys):
     for threads in ("0", "-2"):

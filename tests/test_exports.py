@@ -5,7 +5,7 @@ import inspect
 import pkgutil
 
 import mingraph
-from mingraph import algebra, grassmann
+from mingraph import algebra, diagnostics, grassmann, measure
 
 # Definitions deleted or moved into the tests as reference oracles.  None of
 # them may come back as a public or private name of the package.
@@ -22,13 +22,15 @@ REMOVED = {
     "sff_norm2_projector",
     # measure
     "volume_growth_bound_check", "GrowthCheck", "PredicateViolationError",
-    "blow_down", "max_slope_on_box",
+    "blow_down", "max_slope_on_box", "_volume_once", "_unit_ring",
     # models
     "model_graph_plane_basis",
     # solver
     "weak_harmonicity_defect", "divergence_residual_field", "_flux_field",
     "_dissection_order", "_unknown_order", "_ordered_solve", "_DISSECTION_LEAF",
     "_stencil", "_stencil_matrix", "_assemble", "_node_ids",
+    # util: the midpoint box rule, its vertex excision and chunk-sum stack
+    "_ball_midpoint_sum", "_WINDOW", "VERTEX_CUTOFF_FRAC", "_usable_cpus",
 }
 
 
@@ -62,3 +64,11 @@ def test_algebra_checks_take_no_per_report_knobs():
     assert "scan_mu123" in knobs and "xi11_sampler" in knobs
     params = inspect.signature(grassmann.PlaneBasis.coordinate).parameters
     assert list(params) == ["dim", "ambient"]
+
+
+def test_quadratures_take_no_thread_count_or_cutoff():
+    # density_profile's radii pool is the one place quadrature runs in
+    # parallel, and the polar rule puts no node at a cone vertex
+    for fn in (measure.graph_volume, diagnostics.curvature_integral):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"threads", "cutoff"}, fn.__name__

@@ -1,22 +1,18 @@
 """Unit tests for volume quadrature and density profiles."""
 
 import dataclasses
+import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mingraph import diagnostics, measure
+from mingraph import diagnostics, measure, util
 from mingraph.grassmann import log_slope
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
-from mingraph.util import (
-    _ball_midpoint_sum,
-    chunk_ranges,
-    grid_points,
-    run_chunks,
-    unit_ball_volume,
-)
+from mingraph.util import chunk_ranges, grid_points, run_chunks, unit_ball_volume
 
 
 def test_unit_ball_volume_known_values():
@@ -122,54 +118,61 @@ def test_density_profile_rejects_off_graph_center():
 
 def test_max_slope_steep_plane_is_finite():
     # det g = (1 + 1e200)^2 overflows; the slope 1 + 1e200 does not
-    # (graph_volume bounds its excised vertex ball with this maximum)
+    # (graph_volume integrates this slope along each ray)
     model = model_affine(1e100 * np.eye(2))
     pts = grid_points([np.linspace(-1.0, 1.0, 5)] * 2)
     log_v = log_slope(model.jacobian(pts))
     assert np.exp(np.max(log_v)) == pytest.approx(1e200, rel=1e-12)
 
 
-@pytest.mark.parametrize("model,center,radius,resolution,threads,expected", [
-    (model_lawson_osserman(), np.zeros(7), 1.5, 32, 1,
-     "VolumeReport(region='ball(r=1.5)', value=44.32777404785156, resolution=32, "
-     "est_error=0.3670806887014044)"),
-    (model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1]), 0.8, 512, 2,
-     "VolumeReport(region='ball(r=0.8)', value=1.8805090198588492, resolution=512, "
-     "est_error=0.00044722193514967756)"),
+@pytest.mark.parametrize("model,center,radius,resolution,expected", [
+    (model_lawson_osserman(), np.zeros(7), 1.5, 32,
+     "VolumeReport(region='ball(r=1.5)', value=44.41321980490215, resolution=32, "
+     "est_error=4.654484801218245e-13)"),
+    (model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1]), 0.8, 512,
+     "VolumeReport(region='ball(r=0.8)', value=1.880869967485542, resolution=512, "
+     "est_error=2.032823758789971e-14)"),
 ], ids=["cone-vertex", "slag-exp-off-centre"])
-def test_graph_volume_pinned(model, center, radius, resolution, threads, expected):
-    # both grids span several chunks, so the pairwise chunk reduction is pinned too
-    rep = measure.graph_volume(model, center, radius, resolution, threads)
+def test_graph_volume_pinned(model, center, radius, resolution, expected):
+    # the slag-exp fine pass spans several chunks of rays, so their order is pinned too
+    rep = measure.graph_volume(model, center, radius, resolution)
     assert repr(rep) == expected
 
 
-def test_graph_volume_independent_of_threads():
-    # the fine pass spans six chunks, so 2 and 3 threads split it unevenly
-    model, center = model_slag_exp(), np.array([0.3, -0.2, 1.0, 0.1])
-    reports = {repr(measure.graph_volume(model, center, 0.8, 512, t)) for t in (1, 2, 3)}
-    assert len(reports) == 1
+def test_density_profile_independent_of_threads():
+    # three radii: 2 and 3 threads split them unevenly
+    model, center = model_slag_exp(), np.array([0.0, 0.0, 1.0, 0.0])
+    profiles = [measure.density_profile(model, center, [0.5, 0.8, 1.2], 256, threads)
+                for threads in (1, 2, 3)]
+    for prof in profiles[1:]:
+        assert prof.ratios.tobytes() == profiles[0].ratios.tobytes()
+        assert prof.est_errors.tobytes() == profiles[0].est_errors.tobytes()
 
 
 def test_graph_volume_evaluates_model_only_inside_base_ball():
     model = model_slag_exp()
-    seen = []
+    seen, kept = [], []
 
     def value(x):
         seen.append(np.array(x))
         return model.value(x)
 
+    def jacobian(x):
+        kept.append(np.array(x))
+        return model.jacobian(x)
+
     center, radius = np.array([0.3, -0.2, 1.0, 0.1]), 0.8
-    measure.graph_volume(dataclasses.replace(model, value=value), center, radius, 64)
+    traced = dataclasses.replace(model, value=value, jacobian=jacobian)
+    measure.graph_volume(traced, center, radius, 64)
     dist = np.linalg.norm(np.concatenate(seen) - center[:2], axis=1)
     assert np.all(dist <= radius)
-    # and every midpoint of the base ball is evaluated, on both grids
-    inside = 0
-    for nodes in (32, 64):
-        h = 2.0 * radius / nodes
-        axis = -radius + h * (np.arange(nodes) + 0.5)
-        mids = np.stack(np.meshgrid(*(c + axis for c in center[:2]), indexing="ij"), -1)
-        inside += np.count_nonzero(np.linalg.norm(mids - center[:2], axis=-1) <= radius)
-    assert dist.size == inside
+    # the trace is star-shaped from this centre: each ray of both passes holds
+    # one inside interval, whose radial nodes are all graph points in the ball
+    kept = np.concatenate(kept)
+    rays_and_nodes = [(2 * (nodes // 4), max(8, nodes // 16)) for nodes in (64, 32)]
+    assert len(kept) == sum(rays * q for rays, q in rays_and_nodes)
+    graph = np.concatenate([kept, model.value(kept)], axis=1)
+    assert np.all(np.linalg.norm(graph - center, axis=1) <= radius)
 
 
 def _peak_mb(fn) -> float:
@@ -187,36 +190,10 @@ def _peak_mb(fn) -> float:
     lambda nodes: diagnostics.curvature_integral(model_slag_exp(), 1.0, nodes),
 ], ids=["graph_volume", "curvature_integral"])
 def test_quadrature_memory_flat_in_resolution(monkeypatch, quadrature):
-    # a small chunk keeps the test quick; both grids hold dozens of chunks
-    monkeypatch.setattr(measure, "_CHUNK", 4096)
-    monkeypatch.setattr(diagnostics, "_CHUNK", 4096)
+    # a small chunk keeps the test quick; both rules hold several chunks of rays
+    monkeypatch.setattr(util, "_CHUNK_POINTS", 4096)
     small, large = (_peak_mb(lambda: quadrature(nodes)) for nodes in (256, 512))
     assert large < 1.25 * small
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ball_sum_memory_flat_in_chunk_count(threads):
-    # same grid, 100x more chunks: neither the chunk list, nor the futures in
-    # flight, nor the chunk sums may grow with the count
-    def peak(chunk):
-        return _peak_mb(lambda: _ball_midpoint_sum(lambda x: float(x.shape[0]),
-                                                   np.zeros(2), 1.0, 100, chunk, 0.0,
-                                                   threads))
-
-    few, many = peak(500), peak(5)
-    assert many < 1.25 * few
-
-
-def test_curvature_integral_memory_within_one_old_chunk(monkeypatch):
-    # two chunks in flight at once must fit the budget of one 50,000-cell chunk
-    def peak(cpus, chunk):
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(diagnostics, "_CHUNK", chunk)
-        return _peak_mb(lambda: diagnostics.curvature_integral(model_lawson_osserman(),
-                                                               2.0, 24))
-
-    two_threads = peak(2, diagnostics._CHUNK)
-    assert two_threads <= peak(1, 50000)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -224,6 +201,113 @@ def test_graph_volume_rejects_a_non_finite_radius(monkeypatch, radius):
     def no_quadrature(*args):
         raise AssertionError("the radius must be checked before any quadrature")
 
-    monkeypatch.setattr(measure, "_volume_once", no_quadrature)
+    monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
     with pytest.raises(ValueError, match="finite"):
         measure.graph_volume(model_affine(np.zeros((1, 2))), np.zeros(3), radius)
+
+
+@pytest.mark.parametrize("center,profile_error", [
+    ([math.nan, 0.0, 1.0, 0.0], "does not lie on the graph"),
+    ([0.0, 0.0, math.inf, 0.0], "center must be finite"),
+], ids=["nan", "inf"])
+def test_graph_volume_rejects_a_non_finite_center(monkeypatch, center, profile_error):
+    def no_quadrature(*args):
+        raise AssertionError("the center must be checked before any quadrature")
+
+    monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
+    with pytest.raises(ValueError, match="center must be finite"):
+        measure.graph_volume(model_slag_exp(), center, 1.0)
+    # a NaN distance to the graph fails density_profile's on-graph test, and an
+    # infinite centre, at an infinite distance, reaches graph_volume's check
+    with pytest.raises(ValueError, match=profile_error):
+        measure.density_profile(model_slag_exp(), center, [1.0, 2.0])
+
+
+def _no_model(model):
+    """``model`` with callables that fail: a refused rule calls none of them."""
+
+    def refuse(x):
+        raise AssertionError("the node count must be refused before any model call")
+
+    return dataclasses.replace(model, value=refuse, jacobian=refuse, hessian=refuse,
+                               in_domain=refuse)
+
+
+@pytest.mark.parametrize("model", [model_lawson_osserman(), model_slag_exp()],
+                         ids=["cone", "slag-exp"])
+def test_quadrature_refuses_work_above_the_ceiling(model):
+    center = np.zeros(model.n + model.m)
+    with pytest.raises(ValueError, match="resolution 1000000 asks for .* above the ceiling"):
+        measure.graph_volume(_no_model(model), center, 1.0, 10**6)
+    with pytest.raises(ValueError, match="nodes_per_axis 1000000 asks for"):
+        diagnostics.curvature_integral(_no_model(model), 1.0, 10**6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sphere_rule_weights_sum_to_the_sphere_area(n):
+    dirs, weights = util._sphere_rule(n, 6)
+    assert dirs.shape == (weights.size, n)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    assert np.all(weights > 0.0)
+    assert np.sum(weights) == pytest.approx(n * unit_ball_volume(n), rel=1e-15)
+
+
+def _covers(rep, exact, tol=0.0):
+    """The bar covers the error of ``rep`` against ``exact`` known to ``tol``."""
+    return abs(rep.value - exact) + tol <= rep.est_error
+
+
+def test_error_bar_covers_the_error_on_exact_cases():
+    # the cone's density is 16/9 at every radius (Lawson & Osserman 1977) and
+    # the plane's is 1: the rule is exact there, and the bar reads rounding
+    cases = [(model_lawson_osserman(), np.zeros(7), 16.0 / 9.0, 40, (0.7, 1.9, 3.1)),
+             (model_affine(np.array([[0.5, -0.2]])), np.zeros(3), 1.0, 128, (1.0, 4.0))]
+    for model, center, density, resolution, radii in cases:
+        for r in radii:
+            rep = measure.graph_volume(model, center, r, resolution)
+            exact = density * unit_ball_volume(model.n) * r**model.n
+            assert _covers(rep, exact)
+            assert rep.est_error <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("resolution", [32, 64, 128])
+def test_error_bar_covers_the_error_on_slag_exp(resolution):
+    # against the rule at 1024, converged to rounding
+    model, center = model_slag_exp(), np.array([0.0, 0.0, 1.0, 0.0])
+    for r in (1.0, 2.5, 4.0):
+        high = measure.graph_volume(model, center, r, 1024).value
+        assert _covers(measure.graph_volume(model, center, r, resolution), high)
+
+
+@pytest.mark.parametrize("resolution", [40, 64])
+def test_error_bar_covers_the_error_off_the_cone_vertex(resolution):
+    # seen from this on-graph centre the trace is not star-shaped in a thin
+    # set of directions, so the rule converges only algebraically.  The rule
+    # at resolution 160, 192 and 256 reads 6.05059, 6.05088 and 6.05082.
+    model = model_lawson_osserman()
+    center = model.graph_point(np.array([0.5, 0.1, -0.15, 0.2]))
+    rep = measure.graph_volume(model, center, 1.0, resolution)
+    assert _covers(rep, 6.05082, tol=3e-4)
+
+
+def test_graph_volume_counts_every_inside_interval_of_a_ray():
+    # seen from (0, 0, 10, 0), off the graph, the ball meets slag-exp (periodic
+    # in y) in three lobes, near y = 0 and y = +-2 pi, so rays along y leave one
+    # lobe and enter the next.  A midpoint rule on 4000^2 cells gives 883.91
+    # (884.14 on 2000^2); the first interval of each ray alone would give 394.5.
+    center = np.array([0.0, 0.0, 10.0, 0.0])
+    rep = measure.graph_volume(model_slag_exp(), center, 11.0, 1024)
+    assert rep.value == pytest.approx(883.9, rel=0.01)
+
+
+def test_quadrature_has_one_home():
+    # measure and diagnostics integrate only through util._polar_ball_sum, and
+    # neither builds a grid or a rule of its own
+    rule = re.compile(r"meshgrid|grid_points|leggauss|polynomial|linspace|arange")
+    for module in (measure, diagnostics):
+        text = inspect.getsource(module)
+        assert "from mingraph.util import _polar_ball_sum" in text
+        assert rule.findall(text) == []
+    calls = {module.__name__: len(re.findall(r"_polar_ball_sum\(", inspect.getsource(module)))
+             for module in (measure, diagnostics)}
+    assert calls == {"mingraph.measure": 1, "mingraph.diagnostics": 1}
