@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from mingraph.grassmann import log_slope, metric_inverse
-from mingraph.util import _unbatch, chunk_ranges
+from mingraph.util import _unbatch
 
 NONNEG_TOL = 1e-9  # slack on all nonnegativity assertions
 CONSTRAINT_SLACK = 1e-12  # keeps exact equality loci admissible under rounding
@@ -357,8 +357,8 @@ def _sampled_report(check, params, samples, seed, chunk, pick=min):
     if samples <= 0:
         raise ValueError("samples must be positive")
     try:
-        results = [chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])), hi - lo)
-                   for lo, hi in chunk_ranges(samples, _CHUNK)]
+        results = [chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])),
+                         min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK)]
     except SamplingFailureError as exc:
         raise SamplingFailureError(f"{check} {params}: {exc}") from exc
     value, arg, _ = pick(results, key=lambda t: t[0])

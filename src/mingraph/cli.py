@@ -151,7 +151,7 @@ def cmd_verify_algebra(args) -> int:
     jobs += [partial(algebra.scan_mu123_lambda, lam, step) for lam in lam_values]
     jobs.append(partial(algebra.check_sqrt2_inequality, samples, seed))
     jobs += [partial(algebra.check_lambda_inequality, lam, samples, seed)
-             for lam in lam_values if lam <= math.sqrt(2.0)]
+             for lam in lam_values]
     jobs += [partial(algebra.xi11_sampler, 1.0, eps, samples, seed) for eps in eps_values]
     reports = util.run_chunks(lambda job: job(), jobs, threads)
     payload = {"config": {"grid_step": step, "samples": samples, "seed": seed,
@@ -208,6 +208,12 @@ def _diagnose_points(cfg, model, seed):
     count = _integer(pts_cfg.get("count", 100), "points.count")
     rmin = float(pts_cfg.get("radius_min", 0.5))
     rmax = float(pts_cfg.get("radius_max", 2.0))
+    for key, r in (("radius_min", rmin), ("radius_max", rmax)):
+        if not 0.0 <= r < math.inf:
+            raise InvalidConfigError(f"points.{key} must be finite and >= 0, got {r!r}")
+    if rmin > rmax:
+        raise InvalidConfigError(
+            f"points.radius_min {rmin!r} exceeds points.radius_max {rmax!r}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, model.n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -222,6 +228,9 @@ def cmd_diagnose(args) -> int:
     seed = _seed(args, cfg)
     step = float(cfg.get("step", 1e-3))
     lam_bound = float(cfg.get("lam_bound", math.sqrt(2.0)))
+    if not 0.0 < lam_bound < math.inf:
+        raise InvalidConfigError(
+            f"lam_bound must be positive and finite, got {lam_bound!r}")
     _log(out, f"diagnose model={model.label} seed={seed}")
     pts = _diagnose_points(cfg, model, seed)
     rep = diagnostics.write_diagnostics_csv(model, pts, out / "diagnostics.csv",

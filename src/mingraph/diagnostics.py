@@ -175,8 +175,6 @@ def curvature_integral(model, radius: float, nodes_per_axis: int = 40) -> float:
     cone vertex at the origin.  |B|^2 comes from ``sff_norm2``'s frame-free
     formula, so each point carries its relative error of about eps * (1 + lam_1^2).
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
 
     def integrand(x):
         J = model.jacobian(x)

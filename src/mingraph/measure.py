@@ -69,8 +69,6 @@ def graph_volume(
     ``util._polar_ball_sum`` runs at ``resolution`` and at ``resolution // 2``;
     their difference, plus a rounding floor, is the error estimate.
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
     if resolution < 32:
         raise ValueError("need at least 32 nodes per axis")
     center = np.asarray(center, dtype=float)

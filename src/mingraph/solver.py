@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from mingraph.grassmann import metric_inverse
-from mingraph.util import grid_points
 
 DEFAULT_TOL = 1e-10
 _GMRES_RTOL = 1e-12  # smallest relative residual a linear solve aims for
@@ -52,6 +51,8 @@ class GraphPatch:
         self.values = np.asarray(self.values, dtype=float)
         if self.n not in (2, 3, 4):
             raise ValueError("only n in {2, 3, 4} is supported")
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got {self.m}")
         if len(self.dims) != self.n or any(d < 3 for d in self.dims):
             raise ValueError("need at least 3 nodes per axis")
         if not 0 < self.spacing < np.inf:
@@ -74,7 +75,7 @@ class GraphPatch:
         """Physical coordinates of all nodes, shape dims + (n,)."""
         axes = [self.origin[k] + self.spacing * np.arange(self.dims[k])
                 for k in range(self.n)]
-        return grid_points(axes).reshape(self.dims + (self.n,))
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     @classmethod
     def from_model(cls, model, origin, dims, spacing) -> "GraphPatch":
@@ -370,6 +371,8 @@ def solve(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if initial_guess:
         harmonic_initial_guess(patch)
     inner = tuple(slice(1, -1) for _ in range(patch.n))

@@ -1,11 +1,10 @@
-"""Small shared helpers: grid points, deterministic chunks, volumes, and the
-polar Gauss rule on balls that both ``measure`` and ``diagnostics`` integrate with.
+"""Small shared helpers: ordered pool runs, ball volumes, and the polar Gauss
+rule on balls that both ``measure`` and ``diagnostics`` integrate with.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,53 +22,12 @@ def _unbatch(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-class _ChunkRanges:
-    """The (lo, hi) pieces of range(stop) of ``size`` each, made on demand."""
-
-    def __init__(self, stop: int, size: int):
-        self._los = range(0, stop, size)
-        self._stop, self._size = stop, size
-
-    def __len__(self) -> int:
-        return len(self._los)
-
-    def __iter__(self):
-        return ((lo, min(lo + self._size, self._stop)) for lo in self._los)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
-
-def chunk_ranges(total: int, size: int) -> _ChunkRanges:
-    """Fixed (start, stop) partition of range(total), independent of threads.
-
-    A sized iterable whose pairs are made as they are read, so a grid of any
-    size costs O(1) here.
-    """
-    return _ChunkRanges(total, size)
-
-
 def run_chunks(fn, chunks, threads: int = 1) -> list:
-    """Apply ``fn`` to each chunk, results in chunk order regardless of thread count.
-
-    At most 2 * threads chunks are submitted and not yet collected, so the
-    pool holds O(threads) futures however many chunks there are.
-    """
+    """Apply ``fn`` to each chunk, results in chunk order regardless of thread count."""
     if threads <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in chunks:
-            if len(pending) == 2 * threads:
-                out.append(pending.popleft().result())
-            pending.append(pool.submit(fn, chunk))
-        out.extend(future.result() for future in pending)
-    return out
-
-
-def grid_points(axes) -> np.ndarray:
-    """Points of the tensor grid of 1-D ``axes`` in C order, shape (N, len(axes))."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        return list(pool.map(fn, chunks))
 
 
 # points per chunk of rays, and at most per pass: directions x (scan + radial nodes)
@@ -141,6 +99,8 @@ def _polar_ball_sum(fn, center, radius: float, nodes, key: str, inside=None) -> 
     """
     from numpy.polynomial.legendre import leggauss
 
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if not float(nodes).is_integer() or nodes < 4:
         raise ValueError(f"{key} must be an integer node count >= 4, got {nodes!r}")
     center = np.asarray(center, dtype=float)
@@ -152,16 +112,17 @@ def _polar_ball_sum(fn, center, radius: float, nodes, key: str, inside=None) -> 
                          f"pass, above the ceiling {_MAX_POINTS:.0e}")
     dirs, weights = _sphere_rule(n, k)
     x, w = leggauss(q)
+    rays = max(1, _CHUNK_POINTS // (scan + q))
     total = 0.0
-    for lo, hi in chunk_ranges(len(dirs), max(1, _CHUNK_POINTS // (scan + q))):
-        d = dirs[lo:hi]
+    for lo in range(0, len(dirs), rays):
+        d = dirs[lo:lo + rays]
         if inside is None:
             ray, a, b = np.arange(len(d)), np.zeros(len(d)), np.full(len(d), radius)
         else:
             ray, a, b = _inside_intervals(inside, center, d, radius, scan)
         half = 0.5 * (b - a)
         t = (a + half)[:, None] + half[:, None] * x
-        wt = (weights[lo:hi][ray] * half)[:, None] * w * t ** (n - 1)
+        wt = (weights[lo:lo + rays][ray] * half)[:, None] * w * t ** (n - 1)
         pts = center + t[..., None] * d[ray][:, None, :]
         total += float(np.sum(wt * fn(pts.reshape(-1, n)).reshape(t.shape)))
     return total

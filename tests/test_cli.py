@@ -183,6 +183,29 @@ def test_solve_non_convergence_exit_code(tmp_path):
     assert code == cli.EXIT_NO_CONVERGENCE
 
 
+def test_solve_negative_max_iter_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "solve.json",
+                    {"model": "slag-exp", "origin": [0, 0], "dims": [9, 9],
+                     "spacing": 0.125, "max_iter": -1})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert "max_iter" in _error_line(capsys)
+    assert not (out / "solved.bin").exists()
+
+
+def test_solve_patch_without_codomain_is_invalid_input(tmp_path, capsys):
+    # m = 0 reads as an empty values array; the patch refuses it
+    manifest = {"format": "MGP1", "n": 2, "m": 0, "dims": [5, 5], "spacing": 0.25,
+                "origin": [0.0, 0.0], "data": "p.bin"}
+    (tmp_path / "p.json").write_text(json.dumps(manifest))
+    (tmp_path / "p.bin").write_bytes(b"")
+    cfg = write_cfg(tmp_path, "solve.json", {"patch": str(tmp_path / "p.json")})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert "m must be at least 1, got 0" in _error_line(capsys)
+    assert not (out / "solved.bin").exists()
+
+
 @pytest.mark.parametrize("key,value", [("spacing", float("nan")),
                                        ("spacing", float("inf")),
                                        ("tol", float("nan"))])
@@ -313,16 +336,31 @@ def test_out_of_memory_is_invalid_input(capsys, monkeypatch):
     assert _error_line(capsys) == "error: out of memory: Unable to allocate 8.00 EiB"
 
 
-def test_unsamplable_lambda_is_invalid_input(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unsamplable_lambda_is_invalid_input(threads, tmp_path, capsys):
     # at Lambda = 1e-9 the Lambda sampler accepts no draw out of 1e7; of the
-    # two lam_values the error names that check and its Lambda
+    # two lam_values the error names that check and its Lambda, from the
+    # pool as from the inline run
     cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.25, "samples": 100, "seed": 1,
                                           "lam_values": [1e-9, 0.5], "eps_values": [0.3]})
     out = tmp_path / "o"
-    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    argv = ["verify-algebra", "--config", cfg, "--out", str(out), "--threads", threads]
+    assert run(argv) == cli.EXIT_INVALID
     assert _error_line(capsys) == ("error: lambda-logv {'Lambda': 1e-09, 'n': 3, 'm': 3, "
                                    "'tol': 1e-09}: no accepted draw in 1e7")
     assert not (out / "verify_algebra.json").exists()
+
+
+def test_verify_algebra_samples_a_lambda_within_the_slack(tmp_path):
+    # Lambda a few ulps above sqrt(2) is admitted by the scan and the sampler
+    # alike, so both of its reports are written
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.25, "samples": 100, "seed": 1,
+                                          "lam_values": [1.4142135623731],
+                                          "eps_values": [0.3]})
+    assert run(["verify-algebra", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+    reports = json.loads((tmp_path / "verify_algebra.json").read_text())["reports"]
+    assert [r["check"] for r in reports] == ["mu123", "mu123-lambda", "sqrt2-logv",
+                                             "lambda-logv", "xi11-limit"]
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan])
@@ -388,6 +426,32 @@ def test_diagnose_bad_step_is_invalid_input(step, tmp_path, capsys):
     assert run(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
     line = _error_line(capsys)
     assert "step" in line and repr(step) in line
+
+
+@pytest.mark.parametrize("points,key", [
+    ({"radius_min": math.nan}, "radius_min"),
+    ({"radius_max": math.inf}, "radius_max"),
+    ({"radius_min": -1.0}, "radius_min"),
+    ({"radius_min": 3.0, "radius_max": 2.0}, "radius_min"),
+])
+def test_diagnose_bad_radius_is_invalid_input(points, key, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp",
+                                             "points": dict(points, count=5)})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert f"points.{key}" in _error_line(capsys)
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -3.0])
+def test_diagnose_bad_lam_bound_is_invalid_input(lam, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": 5},
+                                             "lam_bound": lam})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "lam_bound" in line and repr(lam) in line
+    assert not (out / "diagnostics.csv").exists()
 
 
 @pytest.mark.parametrize("key,value", [("assert_gap_max", 1e-8),

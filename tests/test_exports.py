@@ -31,6 +31,8 @@ REMOVED = {
     "_stencil", "_stencil_matrix", "_assemble", "_node_ids",
     # util: the midpoint box rule, its vertex excision and chunk-sum stack
     "_ball_midpoint_sum", "_WINDOW", "VERTEX_CUTOFF_FRAC", "_usable_cpus",
+    # util: the chunk-streaming layer the box rule needed
+    "_ChunkRanges", "chunk_ranges", "grid_points",
 }
 
 

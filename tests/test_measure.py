@@ -12,7 +12,7 @@ import pytest
 from mingraph import diagnostics, measure, util
 from mingraph.grassmann import log_slope
 from mingraph.models import model_affine, model_lawson_osserman, model_slag_exp
-from mingraph.util import chunk_ranges, grid_points, run_chunks, unit_ball_volume
+from mingraph.util import run_chunks, unit_ball_volume
 
 
 def test_unit_ball_volume_known_values():
@@ -24,10 +24,20 @@ def test_unit_ball_volume_known_values():
 
 
 def test_chunking_helpers():
-    assert chunk_ranges(10, 4) == [(0, 4), (4, 8), (8, 10)]
-    assert chunk_ranges(0, 4) == []
-    out = run_chunks(lambda c: c[0], chunk_ranges(10, 3), threads=4)
+    out = run_chunks(lambda c: c[0], [(0, 3), (3, 6), (6, 9), (9, 10)], threads=4)
     assert out == [0, 3, 6, 9]
+
+
+def test_run_chunks_raises_a_pooled_jobs_error():
+    # a failing middle job reaches the caller from the pool, as it does inline
+    def job(k):
+        if k == 2:
+            raise ValueError(f"job {k} failed")
+        return k
+
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="job 2 failed"):
+            run_chunks(job, [0, 1, 2, 3, 4], threads=threads)
 
 
 def test_flat_disc_volume():
@@ -120,7 +130,8 @@ def test_max_slope_steep_plane_is_finite():
     # det g = (1 + 1e200)^2 overflows; the slope 1 + 1e200 does not
     # (graph_volume integrates this slope along each ray)
     model = model_affine(1e100 * np.eye(2))
-    pts = grid_points([np.linspace(-1.0, 1.0, 5)] * 2)
+    axis = np.linspace(-1.0, 1.0, 5)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     log_v = log_slope(model.jacobian(pts))
     assert np.exp(np.max(log_v)) == pytest.approx(1e200, rel=1e-12)
 
@@ -197,13 +208,12 @@ def test_quadrature_memory_flat_in_resolution(monkeypatch, quadrature):
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
-def test_graph_volume_rejects_a_non_finite_radius(monkeypatch, radius):
-    def no_quadrature(*args):
-        raise AssertionError("the radius must be checked before any quadrature")
-
-    monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
-    with pytest.raises(ValueError, match="finite"):
-        measure.graph_volume(model_affine(np.zeros((1, 2))), np.zeros(3), radius)
+def test_graph_volume_rejects_a_non_finite_radius(radius):
+    model = _no_model(model_affine(np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        measure.graph_volume(model, np.zeros(3), radius)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        diagnostics.curvature_integral(model, radius, 8)
 
 
 @pytest.mark.parametrize("center,profile_error", [
@@ -227,7 +237,7 @@ def _no_model(model):
     """``model`` with callables that fail: a refused rule calls none of them."""
 
     def refuse(x):
-        raise AssertionError("the node count must be refused before any model call")
+        raise AssertionError("the rule must be refused before any model call")
 
     return dataclasses.replace(model, value=refuse, jacobian=refuse, hessian=refuse,
                                in_domain=refuse)
