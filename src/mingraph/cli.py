@@ -206,6 +206,13 @@ def cmd_solve(args) -> int:
 def _diagnose_points(cfg, model, seed):
     pts_cfg = cfg.get("points", {})
     count = _integer(pts_cfg.get("count", 100), "points.count")
+    if count < 0:
+        raise InvalidConfigError(f"points.count must be >= 0, got {count}")
+    asserted = [k for k in ("assert_gap_max", "assert_margin_sqrt2_min")
+                if cfg.get(k) is not None]
+    if count == 0 and asserted:
+        raise InvalidConfigError(
+            f"points.count is 0: {' and '.join(asserted)} would hold on no points")
     rmin = float(pts_cfg.get("radius_min", 0.5))
     rmax = float(pts_cfg.get("radius_max", 2.0))
     for key, r in (("radius_min", rmin), ("radius_max", rmax)):

@@ -70,7 +70,7 @@ def graph_volume(
     their difference, plus a rounding floor, is the error estimate.
     """
     if resolution < 32:
-        raise ValueError("need at least 32 nodes per axis")
+        raise ValueError(f"resolution must be an integer >= 32, got {resolution!r}")
     center = np.asarray(center, dtype=float)
     n = model.n
     if center.shape != (n + model.m,):
@@ -78,18 +78,21 @@ def graph_volume(
     if not np.all(np.isfinite(center)):
         raise ValueError(f"center must be finite, got {center.tolist()}")
 
-    def inside(x):
-        # |(x, u(x)) - center| summed column by column in np.linalg.norm's
-        # order (the same bits); the model sees only points of the base ball
+    def margin(x):
+        # radius - |(x, u(x)) - center|, summed column by column in
+        # np.linalg.norm's order (the same bits), so that margin >= 0 is the
+        # test sqrt(d2) <= radius; -inf off the base ball and the domain, where
+        # the model is not called
         d2 = sum((col - c) ** 2 for col, c in zip(x.T, center))
         ok = (np.sqrt(d2) <= radius) & np.asarray(model.in_domain(x))
         d2 = d2[ok] + sum((col - c) ** 2 for col, c in zip(model.value(x[ok]).T, center[n:]))
-        ok[ok] = np.sqrt(d2) <= radius
-        return ok
+        out = np.full(len(x), -np.inf)
+        out[ok] = radius - np.sqrt(d2)
+        return out
 
     # fine pass first, so that a bad resolution fails before any work
     fine, coarse = (_polar_ball_sum(lambda x: np.exp(log_slope(model.jacobian(x))),
-                                    center[:n], radius, nodes, "resolution", inside)
+                                    center[:n], radius, nodes, "resolution", margin)
                     for nodes in (resolution, resolution // 2))
     err = abs(fine - coarse) + _ROUNDING * max(fine, unit_ball_volume(n) * radius**n)
     return VolumeReport(

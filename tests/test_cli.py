@@ -443,6 +443,28 @@ def test_diagnose_bad_radius_is_invalid_input(points, key, tmp_path, capsys):
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [("assert_gap_max", 1e-12),
+                                       ("assert_margin_sqrt2_min", 0.5)])
+def test_diagnose_assertion_on_no_points_is_invalid_input(key, value, tmp_path, capsys):
+    # an assertion over no points would hold vacuously, so an empty run is refused
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": 0},
+                                             key: value})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "points.count" in line and key in line and "no points" in line
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_diagnose_negative_point_count_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": -3}})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "points.count" in line and "-3" in line
+    assert not (out / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -3.0])
 def test_diagnose_bad_lam_bound_is_invalid_input(lam, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": 5},

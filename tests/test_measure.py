@@ -60,7 +60,7 @@ def test_volume_report_validation():
     with pytest.raises(ValueError):
         measure.VolumeReport("x", -1.0, 64, 0.0)
     model = model_affine(np.zeros((1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"resolution must be an integer >= 32, got 16$"):
         measure.graph_volume(model, np.zeros(3), 1.0, resolution=16)
     with pytest.raises(ValueError, match="node count"):
         measure.graph_volume(model, np.zeros(3), 1.0, resolution=64.5)
@@ -321,3 +321,86 @@ def test_quadrature_has_one_home():
     calls = {module.__name__: len(re.findall(r"_polar_ball_sum\(", inspect.getsource(module)))
              for module in (measure, diagnostics)}
     assert calls == {"mingraph.measure": 1, "mingraph.diagnostics": 1}
+
+
+def _bisected_intervals(margin, center, dirs, radius, scan):
+    """Reference for ``util._inside_intervals``: 52 plain halvings of every change."""
+    t = radius * np.arange(1, scan + 1) / scan
+    ins = margin((center + dirs[:, None, :] * t[:, None]).reshape(-1, center.size)) >= 0
+    pad = np.zeros((len(dirs), 1), dtype=bool)
+    ins = np.concatenate([pad, ins.reshape(len(dirs), scan), pad], axis=1)
+    ray, gap = np.nonzero(ins[:, 1:] != ins[:, :-1])
+    edge = np.where(gap == 0, 0.0, radius)
+    cut = np.flatnonzero((gap > 0) & (gap < scan))
+    lo, hi, lo_in = t[gap[cut] - 1], t[gap[cut]], ins[ray[cut], gap[cut]]
+    d = dirs[ray[cut]]
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        same = (margin(center + mid[:, None] * d) >= 0) == lo_in
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    edge[cut] = 0.5 * (lo + hi)
+    return ray[::2], edge[::2], edge[1::2]
+
+
+_CONE = model_lawson_osserman()
+
+
+@pytest.mark.parametrize("model,center,radius,resolution", [
+    # at 48 (scan t = j / 12) and 24 nodes a scan node lies on the exit t = 4/3
+    (_CONE, np.zeros(7), 2.0, 48),
+    (_CONE, np.zeros(7), 2.0, 40),
+    (_CONE, _CONE.graph_point(np.array([0.5, 0.1, -0.15, 0.2])), 1.0, 40),
+    # the domain cuts every ray at |x| = 0.5, where the margin is -inf
+    (dataclasses.replace(_CONE, in_domain=lambda x: np.linalg.norm(x, axis=-1) > 0.5),
+     np.zeros(7), 2.0, 40),
+    (model_affine(np.array([[0.5, -0.2]])), np.zeros(3), 1.0, 128),
+    # a ray nearly tangent to the ball: rounding flips the margin's sign over
+    # about 200 ulps of t around one exit
+    (model_affine(np.array([[-1.8062357186285307, -0.3697576989240435, -0.19340890752363765],
+                            [2.2782158949704496, 1.1592260790409137, -1.5035062625871387]])),
+     np.array([0.6819677636799354, 0.7706312764276145, -0.11164572231944679,
+               -0.25766231503180886, -0.19380324542255564]), 2.904341870399805, 64),
+    (model_slag_exp(), np.array([0.0, 0.0, 10.0, 0.0]), 11.0, 256),
+], ids=["cone-node-on-exit", "cone", "cone-off-vertex", "cone-domain-cut", "affine",
+        "affine-slow-crossing", "slag-exp-lobes"])
+def test_inside_intervals_match_a_plain_bisection(monkeypatch, model, center, radius,
+                                                  resolution):
+    # Illinois steps and the replayed halvings end every edge bit for bit
+    # where 52 plain halvings do, in each chunk of rays of both passes
+    found, chunks = util._inside_intervals, []
+
+    def compare(*args):
+        got, want = found(*args), _bisected_intervals(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        chunks.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(util, "_inside_intervals", compare)
+    measure.graph_volume(model, center, radius, resolution)
+    assert len(chunks) >= 2 and min(chunks) > 0
+
+
+@pytest.mark.parametrize("resolution,chunks", [(40, 2), (48, 3)])
+def test_cone_volume_takes_few_model_calls(resolution, chunks):
+    # each chunk of rays takes a scan call and a few Illinois and replayed
+    # bisection calls, where 52 plain halvings took 53 (106 and 159 in all);
+    # at 48 nodes a scan node lies on the exit, where an unclipped secant stalls
+    calls = []
+
+    def in_domain(x):
+        calls.append(len(x))
+        return _CONE.in_domain(x)
+
+    measure.graph_volume(dataclasses.replace(_CONE, in_domain=in_domain),
+                         np.zeros(7), 2.0, resolution)
+    assert len(calls) <= 20 * chunks
+
+
+def test_quadrature_rules_are_cached_and_read_only():
+    dirs, weights = util._sphere_rule(4, 10)
+    x, w = util._gauss_legendre(8)
+    assert util._sphere_rule(4, 10)[0] is dirs and util._gauss_legendre(8)[1] is w
+    for rule in (dirs, weights, x, w, *util._sphere_rule(1, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            rule[0] = 0.0
