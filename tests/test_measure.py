@@ -60,12 +60,18 @@ def test_volume_report_validation():
     with pytest.raises(ValueError):
         measure.VolumeReport("x", -1.0, 64, 0.0)
     model = model_affine(np.zeros((1, 2)))
-    with pytest.raises(ValueError, match=r"resolution must be an integer >= 32, got 16$"):
+    with pytest.raises(ValueError):
         measure.graph_volume(model, np.zeros(3), 1.0, resolution=16)
     with pytest.raises(ValueError, match="node count"):
         measure.graph_volume(model, np.zeros(3), 1.0, resolution=64.5)
     with pytest.raises(ValueError):
         measure.graph_volume(model, np.zeros(2), 1.0)
+
+
+def test_graph_volume_names_the_resolution_it_refuses():
+    model = _no_model(model_affine(np.zeros((1, 2))))
+    with pytest.raises(ValueError, match=r"^resolution must be an integer >= 32, got 16$"):
+        measure.graph_volume(model, np.zeros(3), 1.0, resolution=16)
 
 
 def test_cone_volume_homogeneous():
