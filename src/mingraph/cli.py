@@ -287,11 +287,10 @@ def cmd_measure(args) -> int:
     center = np.asarray(center, dtype=float)
     _log(out, f"measure model={model.label}")
     profile = measure.density_profile(model, center, radii, resolution, args.threads)
-    wn = measure.unit_ball_volume(model.n)
     with open(out / "measure.csv", "w") as fh:
         fh.write("radius,volume,ratio,est_error\n")
-        for rho, ratio, err in zip(profile.radii, profile.ratios, profile.est_errors):
-            vol = ratio * wn * rho**model.n
+        for rho, vol, ratio, err in zip(profile.radii, profile.volumes, profile.ratios,
+                                        profile.est_errors):
             fh.write(f"{float(rho)!r},{float(vol)!r},{float(ratio)!r},{float(err)!r}\n")
     summary = {
         "model": model.label,
@@ -308,8 +307,7 @@ def cmd_measure(args) -> int:
         print(f"  FAIL density ratio decreases by {-profile.monotonicity_margin:.3e}")
         return EXIT_ASSERTION
     for rho, bound in bounds:
-        k = radii.index(float(rho))
-        vol = profile.ratios[k] * wn * radii[k] ** model.n
+        vol = profile.volumes[radii.index(float(rho))]
         if vol < float(bound):
             print(f"  FAIL volume {vol:.6g} at radius {rho} below bound {bound}")
             return EXIT_ASSERTION

@@ -42,6 +42,7 @@ class DensityProfile:
 
     center: np.ndarray
     radii: np.ndarray
+    volumes: np.ndarray  # mu(B_rho), as graph_volume computed them
     ratios: np.ndarray
     est_errors: np.ndarray
 
@@ -55,6 +56,14 @@ class DensityProfile:
     def monotonicity_margin(self) -> float:
         """min over consecutive radii of ratio[k+1] - ratio[k]."""
         return float(np.min(np.diff(self.ratios)))
+
+
+def _ambient_center(model: AnalyticModel, center) -> np.ndarray:
+    """``center`` as an array, refused unless it has length n + m."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (model.n + model.m,):
+        raise ValueError(f"center must be an ambient point of length {model.n + model.m}")
+    return center
 
 
 def graph_volume(
@@ -71,12 +80,10 @@ def graph_volume(
     """
     if resolution < 32:
         raise ValueError(f"resolution must be an integer >= 32, got {resolution!r}")
-    center = np.asarray(center, dtype=float)
-    n = model.n
-    if center.shape != (n + model.m,):
-        raise ValueError(f"center must be an ambient point of length {n + model.m}")
+    center = _ambient_center(model, center)
     if not np.all(np.isfinite(center)):
         raise ValueError(f"center must be finite, got {center.tolist()}")
+    n = model.n
 
     def margin(x):
         # radius - |(x, u(x)) - center|, summed column by column in
@@ -112,7 +119,7 @@ def density_profile(
     The radii run on ``threads`` workers, one ``graph_volume`` each; the
     ratios do not depend on ``threads``.
     """
-    center = np.asarray(center, dtype=float)
+    center = _ambient_center(model, center)
     radii = np.asarray(radii, dtype=float)
     n = model.n
     base = center[:n]
@@ -123,10 +130,12 @@ def density_profile(
             raise ValueError("center does not lie on the graph")
     reports = run_chunks(lambda rho: graph_volume(model, center, float(rho), resolution),
                          radii, threads)
+    volumes = np.array([rep.value for rep in reports])
     scale = unit_ball_volume(n) * radii**n
     return DensityProfile(
         center=center,
         radii=radii,
-        ratios=np.array([rep.value for rep in reports]) / scale,
+        volumes=volumes,
+        ratios=volumes / scale,
         est_errors=np.array([rep.est_error for rep in reports]) / scale,
     )

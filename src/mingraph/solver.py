@@ -366,8 +366,9 @@ def solve(
     Walker's choice 2, 0.9 (|F_k| / |F_k-1|)^2 in the sup-norm, floored at
     tol / (2 |F_k|_2) so that the last step is not solved past the stop
     test, and kept within [``_GMRES_RTOL``, ``_ETA_MAX``].  A Picard step
-    takes its iteration's eta.  Divergence (residual above 10x the best for
-    20 consecutive iterations) aborts with the best iterate restored.
+    takes its iteration's eta.  The solve stops at ``tol``, at ``max_iter``
+    iterations, or after 20 consecutive iterations above 10x the best
+    residual (divergence), and hands back the best iterate.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -385,44 +386,41 @@ def solve(
         stats["assemble_s"] = assembled
         return delta, stats
 
-    R = strong_residual_field(patch)
-    res_norm = float(np.max(np.abs(R)))
-    best_vals = patch.values.copy()
-    best_norm = res_norm
-    history = []
-    log = []
-    bad_streak = 0
-    it = 0
+    def residual_at(values):
+        patch.values[inner] = values
+        R = strong_residual_field(patch)
+        return R, float(np.max(np.abs(R)))
+
+    R, res_norm = residual_at(patch.values[inner])
+    best_vals, best_norm = patch.values.copy(), res_norm
+    log, bad_streak = [], 0
     forcing = 0.1  # Eisenstat-Walker's eta_0
-    while res_norm > tol and it < max_iter:
-        it += 1
+    while res_norm > tol and len(log) < max_iter and bad_streak < 20:
         # Kelley's floor: |.|_inf <= |.|_2, so the linear model is not solved
         # past the stop test
         floor = 0.5 * tol / float(np.linalg.norm(R))
         eta = min(_ETA_MAX, max(forcing, floor, _GMRES_RTOL))
         delta, stats = linear_step(R, include_gradient_terms=True, eta=eta)
         base = patch.values[inner].copy()
-        # Newton steps 1, 1/2, ..., 2^-10, then the Picard step (-1), taken in
-        # full with the coefficients frozen at ``base`` and no gradient terms
-        for step in [0.5**k for k in range(11)] + [-1.0]:
-            if step < 0:
-                patch.values[inner] = base
-                delta, picard = linear_step(R, include_gradient_terms=False, eta=eta)
-                stats = dict({key: stats[key] + picard[key] for key in stats},
-                             gmres_converged=stats["gmres_converged"]
-                             and picard["gmres_converged"])
-            patch.values[inner] = base + abs(step) * delta
-            trial = strong_residual_field(patch)
-            trial_norm = float(np.max(np.abs(trial)))
+        for step in [0.5**k for k in range(11)]:
+            trial, trial_norm = residual_at(base + step * delta)
             if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
                 break
+        else:
+            # the Picard step (-1), taken in full with the coefficients frozen
+            # at ``base`` and no gradient terms
+            patch.values[inner] = base
+            delta, picard = linear_step(R, include_gradient_terms=False, eta=eta)
+            stats = dict({key: stats[key] + picard[key] for key in stats},
+                         gmres_converged=stats["gmres_converged"]
+                         and picard["gmres_converged"])
+            step = -1.0
+            trial, trial_norm = residual_at(base + delta)
         # a damped step is too long by an unknown factor: halve on while the
         # residual falls.  A step twice too long lands near -R, whose norm an
         # inexact step's linear residual can pull just under the test above
         while 0.5**10 < step < 1.0:
-            patch.values[inner] = base + 0.5 * step * delta
-            shorter = strong_residual_field(patch)
-            shorter_norm = float(np.max(np.abs(shorter)))
+            shorter, shorter_norm = residual_at(base + 0.5 * step * delta)
             if shorter_norm >= trial_norm:
                 patch.values[inner] = base + step * delta
                 break
@@ -436,20 +434,13 @@ def solve(
         # the clamp to _ETA_MAX < 1 and Kelley's 2-norm floor hold as written
         forcing = 0.9 * (trial_norm / res_norm) ** 2
         R, res_norm = trial, trial_norm
-        history.append(step)
-        log.append(dict(stats, iteration=it, residual=res_norm, step=step, eta=eta))
+        log.append(dict(stats, iteration=len(log) + 1, residual=res_norm, step=step,
+                        eta=eta))
         if res_norm < best_norm:
-            best_norm = res_norm
-            best_vals = patch.values.copy()
-            bad_streak = 0
-        elif res_norm > 10.0 * best_norm:
-            bad_streak += 1
-            if bad_streak >= 20:
-                patch.values[:] = best_vals
-                return SolveReport(it, best_norm, False, history, log)
+            best_norm, best_vals, bad_streak = res_norm, patch.values.copy(), 0
         else:
-            bad_streak = 0
-    if res_norm > best_norm:
+            bad_streak = bad_streak + 1 if res_norm > 10.0 * best_norm else 0
+    if not res_norm <= best_norm:  # the last iterate is not the best, or NaN
         patch.values[:] = best_vals
-        res_norm = best_norm
-    return SolveReport(it, res_norm, res_norm <= tol, history, log)
+    return SolveReport(len(log), best_norm, best_norm <= tol,
+                       [e["step"] for e in log], log)

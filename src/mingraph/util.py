@@ -12,10 +12,17 @@ import numpy as np
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume omega_n of the unit n-ball, pi^{n/2} / Gamma(n/2 + 1)."""
+    """Volume omega_n of the unit n-ball, pi^{n/2} / Gamma(n/2 + 1).
+
+    By the recurrence omega_n = (2 pi / n) omega_{n-2} from omega_0 = 1 and
+    omega_1 = 2, so that omega_1 is exactly 2 and omega_2 is ``math.pi``.
+    """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    omega = float(1 + n % 2)
+    for k in range(2 + n % 2, n + 1, 2):
+        omega = 2 * math.pi / k * omega
+    return omega
 
 
 def _unbatch(out):

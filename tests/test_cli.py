@@ -394,6 +394,16 @@ def test_measure_non_finite_center_is_invalid_input(tmp_path, capsys, model, cen
     assert not (tmp_path / "o" / "measure.csv").exists()
 
 
+@pytest.mark.parametrize("center", [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
+def test_measure_center_of_the_wrong_length_is_invalid_input(tmp_path, capsys, center):
+    # slag-exp lives in R^(2+2): the length is refused before the on-graph test
+    cfg = write_cfg(tmp_path, "m.json", {"model": "slag-exp", "center": center,
+                                          "radii": [1.0, 2.0], "resolution": 32})
+    assert run(["measure", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "center" in line and "length 4" in line
+
+
 def test_measure_resolution_above_the_ceiling_is_invalid_input(tmp_path, capsys):
     # refused from the node count alone, before any direction is built
     cfg = write_cfg(tmp_path, "m.json", {"model": "lawson-osserman", "radii": [1.0, 2.0],

@@ -21,6 +21,9 @@ def test_unit_ball_volume_known_values():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
+    assert unit_ball_volume(1) == 2.0
+    assert unit_ball_volume(2) == math.pi
+    assert unit_ball_volume(4) == math.pi**2 / 2.0
 
 
 def test_chunking_helpers():
@@ -116,6 +119,14 @@ def test_density_profile_affine_is_one():
     prof = measure.density_profile(model, np.zeros(3), np.linspace(1, 3, 5), 128)
     assert np.max(np.abs(prof.ratios - 1.0)) < 0.01
     assert prof.monotonicity_margin > -3.0 * np.max(prof.est_errors)
+
+
+def test_density_profile_of_a_line_is_exactly_one():
+    # the line y = x has length 2 rho in the disc of radius rho about 0
+    prof = measure.density_profile(model_affine(np.array([[1.0]])), np.zeros(2),
+                                   [1.0, 2.0])
+    assert prof.volumes.tolist() == [2.0, 4.0]
+    assert prof.ratios.tolist() == [1.0, 1.0]
 
 
 def test_density_profile_cone_constant_and_above_one():

@@ -483,6 +483,20 @@ def test_divergence_aborts_with_the_best_iterate_restored(monkeypatch):
     assert residuals[-21] <= 10.0 * start_residual
 
 
+def test_a_solve_that_never_improves_hands_back_the_start(monkeypatch):
+    # reversed linear steps within max_iter: the solve ends at the iteration
+    # cap, not by divergence, and must still restore the best iterate
+    patch = slag_patch_from_harmonic_guess()
+    start = patch.values.copy()
+    start_residual = float(np.max(np.abs(solver.strong_residual_field(patch))))
+    scaled_linear_steps(monkeypatch, -1.0)
+    report = solver.solve(patch, initial_guess=False, max_iter=3)
+    assert report.iterations == 3
+    assert not report.converged
+    assert report.residual == start_residual
+    assert np.array_equal(patch.values, start)
+
+
 def smooth_patch(dims, m, seed):
     """Random smooth data sin(a . x + b) per component, spacing 0.2."""
     rng = np.random.default_rng(seed)
@@ -658,6 +672,12 @@ def test_solver_stencil_has_one_home():
     quotient = re.compile(r"\d(\.0)?\s*\*\s*[hn]\b|\bh\s*\*\*|/\s*\(?h\b")
     found = [m.group(0) for m in quotient.finditer(text.replace(own, ""))]
     assert found == []
+
+
+def test_solver_residual_has_one_home_in_solve():
+    # every residual of a solve, the start, each trial step and each halving,
+    # is evaluated by one helper
+    assert inspect.getsource(solver.solve).count("strong_residual_field(") == 1
 
 
 def test_solve_4d_cone_from_exact_boundary_data():
