@@ -27,6 +27,8 @@ MU_MAX = 4.0  # the scans cover [0, MU_MAX]^3
 SQRT2 = np.sqrt(2.0)
 
 _CHUNK = 20000
+_MAX_GRID = 10**8  # grid triples per scan: the sharp scan takes about 2 s there
+_MAX_SAMPLES = 10**7  # samples per report: the sqrt(2) sampler takes about 13 s there
 
 
 class SamplingFailureError(RuntimeError):
@@ -114,7 +116,10 @@ def _scan_grid(grid_step, ceiling, floor) -> dict:
     """
     if not 0.0 < grid_step < np.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
-    k = max(1, int(round(MU_MAX / grid_step)))
+    k = max(1, int(round(min(MU_MAX / grid_step, _MAX_GRID))))  # MU_MAX / 5e-324 is inf
+    if (k + 1) ** 3 > _MAX_GRID:
+        raise ValueError(f"grid_step {grid_step!r} asks for more than {_MAX_GRID:.0e} "
+                         "grid triples per scan")
     grid = np.arange(k + 1) * (MU_MAX / k)
     m2, m3 = np.meshgrid(grid, grid, indexing="ij")
     m2, m3 = m2.ravel(), m3.ravel()
@@ -356,6 +361,9 @@ def _sampled_report(check, params, samples, seed, chunk, pick=min):
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples {samples!r} is above the ceiling {_MAX_SAMPLES:.0e} "
+                         "per report")
     try:
         results = [chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])),
                          min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK)]

@@ -315,8 +315,6 @@ def cmd_measure(args) -> int:
 
 
 def cmd_zoo(args) -> int:
-    if args.zoo_action != "list":
-        raise InvalidConfigError("the only zoo action is 'list'")
     for label in models.model_labels():
         model = models.get_model(label)
         print(f"{label}: R^{model.n} -> R^{model.m}")
@@ -324,37 +322,34 @@ def cmd_zoo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="mingraph", description="Minimal-graph geometry experiment runner"
-    )
+    """Each subcommand takes only the flags it reads; each fn is looked up per call."""
+    parser = _Parser(prog="mingraph",
+                     description="Minimal-graph geometry experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-
-    p = sub.add_parser("invariants", help="run property suites")
-    common(p)
-    p.add_argument("--mutate", choices=suites.MUTATIONS, default=None,
-                   help="inject a deliberate defect (negative control)")
-    p.set_defaults(fn=cmd_invariants)
-    for name, fn, threaded in [
-        ("verify-algebra", cmd_verify_algebra, True),
-        ("solve", cmd_solve, False),
-        ("diagnose", cmd_diagnose, False),
-        ("measure", cmd_measure, True),
+    # --config stays optional: _load_config refuses its absence only after
+    # argparse has refused any flag the subcommand does not take
+    arguments = {
+        "--config": dict(help="JSON config file"),
+        "--out": dict(help="output directory (default: current)"),
+        "--seed": dict(type=int, help="seed override"),
+        "--threads": dict(type=positive_int, default=1, help="worker cap"),
+        "--mutate": dict(choices=suites.MUTATIONS,
+                         help="inject a deliberate defect (negative control)"),
+        "zoo_action": dict(choices=["list"]),
+    }
+    for name, fn, names, text in [
+        ("invariants", cmd_invariants, "--out --mutate", "run property suites"),
+        ("verify-algebra", cmd_verify_algebra, "--config --out --seed --threads",
+         "algebraic inequalities"),
+        ("solve", cmd_solve, "--config --out", "minimal graph on a grid"),
+        ("diagnose", cmd_diagnose, "--config --out --seed", "curvature identity"),
+        ("measure", cmd_measure, "--config --out --threads", "density ratios"),
+        ("zoo", cmd_zoo, "zoo_action", "model registry"),
     ]:
-        p = sub.add_parser(name)
-        common(p)
-        if threaded:
-            p.add_argument("--threads", type=positive_int, default=1,
-                           help="worker cap")
+        p = sub.add_parser(name, help=text)
+        for arg in names.split():
+            p.add_argument(arg, **arguments[arg])
         p.set_defaults(fn=fn)
-    p = sub.add_parser("zoo", help="model registry")
-    p.add_argument("zoo_action", choices=["list"])
-    common(p)
-    p.set_defaults(fn=cmd_zoo)
     return parser
 
 
@@ -362,8 +357,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (InvalidConfigError, models.DomainError, ValueError, TypeError,
-            OSError, algebra.SamplingFailureError) as exc:
+    except (ValueError, TypeError, OSError, algebra.SamplingFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:

@@ -47,8 +47,6 @@ class DensityProfile:
     est_errors: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be strictly increasing")
         if not np.all(np.isfinite(self.ratios)):
             raise ValueError("ratios must be finite")
 
@@ -119,8 +117,12 @@ def density_profile(
     The radii run on ``threads`` workers, one ``graph_volume`` each; the
     ratios do not depend on ``threads``.
     """
-    center = _ambient_center(model, center)
     radii = np.asarray(radii, dtype=float)
+    # before any quadrature; a NaN radius passes here and is refused by the rule
+    if radii.size < 2 or np.any(np.diff(radii) <= 0):
+        raise ValueError(
+            f"radii must be at least two and strictly increasing, got {radii.tolist()}")
+    center = _ambient_center(model, center)
     n = model.n
     base = center[:n]
     if bool(np.asarray(model.in_domain(base))):

@@ -189,6 +189,42 @@ def test_scan_rejects_bad_grid_step(grid_step):
         algebra.scan_mu123(grid_step)
 
 
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocation reached")
+
+
+@pytest.mark.parametrize("scan", [algebra.scan_mu123,
+                                  lambda step: algebra.scan_mu123_lambda(1.0, step)],
+                         ids=["sharp", "lambda"])
+@pytest.mark.parametrize("grid_step", [1e-3, 5e-324])
+def test_scan_refuses_a_grid_above_the_ceiling(scan, grid_step, monkeypatch):
+    # 1e-3 asks for 4001^3 triples; 4 / 5e-324 overflows to inf
+    monkeypatch.setattr(np, "arange", _no_allocation)
+    with pytest.raises(ValueError, match=f"grid_step {grid_step!r} asks for more than 1e"):
+        scan(grid_step)
+
+
+def test_scan_ceiling_admits_the_largest_grid_below_it(monkeypatch):
+    monkeypatch.setattr(np, "arange", _no_allocation)
+    with pytest.raises(AssertionError, match="allocation reached"):
+        algebra.scan_mu123(4.0 / 463)  # 464^3 = 99,897,344 triples
+    with pytest.raises(ValueError, match="grid_step"):
+        algebra.scan_mu123(4.0 / 464)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda samples: algebra.check_sqrt2_inequality(samples, 1),
+    lambda samples: algebra.check_lambda_inequality(1.0, samples, 1),
+    lambda samples: algebra.xi11_sampler(1.0, 0.1, samples, 1),
+], ids=["sqrt2", "lambda", "xi11"])
+def test_sampler_refuses_samples_above_the_ceiling(sampler, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _no_allocation)
+    with pytest.raises(ValueError, match="samples 100000000 is above the ceiling"):
+        sampler(10**8)
+    with pytest.raises(AssertionError, match="allocation reached"):
+        sampler(10**7)
+
+
 def _einsum_reference(lam, h, lam_bound):
     """rhs, its four parts (..., 4) and the Lambda bound by einsum formulas.
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line runner: exit codes and artifacts."""
 
+import argparse
 import json
 import math
 
@@ -574,3 +575,96 @@ def test_measure_checks_volume_bound_radii_first(tmp_path, capsys, monkeypatch):
     assert run(["measure", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
     line = _error_line(capsys)
     assert "volume_lower_bounds" in line and "1.5" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--config", "nope.json"],
+    ["invariants", "--seed", "3"],
+    ["solve", "--seed", "1"],
+    ["measure", "--seed", "2"],
+    ["zoo", "list", "--config", "nope.json"],
+    ["zoo", "list", "--out", "."],
+    ["zoo", "list", "--seed", "3"],
+], ids=lambda argv: " ".join(argv[:-1]))
+def test_flags_a_subcommand_does_not_read_are_refused(argv, tmp_path, capsys):
+    out = [] if "--out" in argv else ["--out", str(tmp_path)]
+    assert run(argv + out) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "unrecognized arguments" in line and argv[-2] in line
+    assert not (tmp_path / "run.log").exists()
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the name of each attribute read from it."""
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+# one small run per subcommand with every flag it takes (CFG and OUT are
+# filled in per test), its config and its exit code
+_EVERY_FLAG = {
+    "invariants": (["--out", "OUT", "--mutate", "slope-sign"], None, cli.EXIT_ASSERTION),
+    "verify-algebra": (["--config", "CFG", "--out", "OUT", "--seed", "2", "--threads", "2"],
+                       {"grid_step": 0.5, "samples": 100, "lam_values": [1.0],
+                        "eps_values": [0.3]}, cli.EXIT_OK),
+    "solve": (["--config", "CFG", "--out", "OUT"],
+              {"model": "affine", "origin": [0, 0], "dims": [5, 5], "spacing": 0.25},
+              cli.EXIT_OK),
+    "diagnose": (["--config", "CFG", "--out", "OUT", "--seed", "2"],
+                 {"model": "slag-exp", "points": {"count": 5}}, cli.EXIT_OK),
+    "measure": (["--config", "CFG", "--out", "OUT", "--threads", "2"],
+                {"model": "affine", "radii": [1, 2], "resolution": 32}, cli.EXIT_OK),
+    "zoo": (["list"], None, cli.EXIT_OK),
+}
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_has_a_run_with_every_flag():
+    assert sorted(_subparsers()) == sorted(_EVERY_FLAG)
+
+
+@pytest.mark.parametrize("sub", sorted(_EVERY_FLAG))
+def test_every_accepted_flag_is_read(sub, tmp_path):
+    # a flag that the parser accepts and the command never reads would let a
+    # run look configured while it ignores the setting
+    extra, payload, code = _EVERY_FLAG[sub]
+    paths = {"OUT": str(tmp_path / "o")}
+    if payload is not None:
+        paths["CFG"] = write_cfg(tmp_path, "c.json", payload)
+    argv = [sub] + [paths.get(a, a) for a in extra]
+    flags = {a.dest: a.option_strings[0] for a in _subparsers()[sub]._actions
+             if a.option_strings and a.dest != "help"}
+    assert sorted(set(flags.values()) - set(argv)) == []
+    args = cli.build_parser().parse_args(argv, namespace=_ReadLog())
+    args._reads.clear()  # argparse itself reads every destination
+    assert args.fn(args) == code
+    assert sorted(f for dest, f in flags.items() if dest not in args._reads) == []
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-3])
+def test_verify_algebra_grid_step_above_the_ceiling_is_invalid_input(step, tmp_path,
+                                                                     capsys):
+    # 4 / 5e-324 overflows to inf, and 1e-3 asks for 4001^3 triples per scan,
+    # about half an hour of work; both are refused before the scan starts
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": step, "samples": 100})
+    out = tmp_path / "o"
+    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "grid_step" in line and repr(step) in line
+    assert not (out / "verify_algebra.json").exists()
+
+
+def test_verify_algebra_samples_above_the_ceiling_is_invalid_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "va.json", {"grid_step": 0.5, "samples": 1e12})
+    out = tmp_path / "o"
+    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "samples 1000000000000" in line and "ceiling" in line
+    assert not (out / "verify_algebra.json").exists()

@@ -250,6 +250,18 @@ def test_graph_volume_rejects_a_non_finite_center(monkeypatch, center, profile_e
         measure.density_profile(model_slag_exp(), center, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("radii", [[2.0, 1.0], [1.0, 1.0], [1.0]],
+                         ids=["decreasing", "repeated", "single"])
+def test_density_profile_refuses_bad_radii_before_any_quadrature(monkeypatch, radii):
+    # one radius gives no consecutive pair for monotonicity_margin to compare
+    def no_quadrature(*args):
+        raise AssertionError("the radii must be checked before any quadrature")
+
+    monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
+    with pytest.raises(ValueError, match="radii must be at least two and strictly increasing"):
+        measure.density_profile(model_slag_exp(), [0.0, 0.0, 1.0, 0.0], radii, 512)
+
+
 def _no_model(model):
     """``model`` with callables that fail: a refused rule calls none of them."""
 
