@@ -104,6 +104,17 @@ def _argmin_key(vals, m1, p2, p3):
     )
 
 
+def _grid_divisions(grid_step) -> int:
+    """Intervals per axis of the scan grid at ``grid_step``, within ``_MAX_GRID``."""
+    if not 0.0 < grid_step < np.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    k = max(1, int(round(min(MU_MAX / grid_step, _MAX_GRID))))  # MU_MAX / 5e-324 is inf
+    if (k + 1) ** 3 > _MAX_GRID:
+        raise ValueError(f"grid_step {grid_step!r} asks for more than {_MAX_GRID:.0e} "
+                         "grid triples per scan")
+    return k
+
+
 def _scan_grid(grid_step, ceiling, floor) -> dict:
     """Scan phi over the admissible triples of a uniform grid on [0, MU_MAX]^3.
 
@@ -114,12 +125,7 @@ def _scan_grid(grid_step, ceiling, floor) -> dict:
     pairwise products > 4 + NONNEG_TOL and of triples with every entry <= 1,
     and the largest admissible pairwise product.
     """
-    if not 0.0 < grid_step < np.inf:
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
-    k = max(1, int(round(min(MU_MAX / grid_step, _MAX_GRID))))  # MU_MAX / 5e-324 is inf
-    if (k + 1) ** 3 > _MAX_GRID:
-        raise ValueError(f"grid_step {grid_step!r} asks for more than {_MAX_GRID:.0e} "
-                         "grid triples per scan")
+    k = _grid_divisions(grid_step)
     grid = np.arange(k + 1) * (MU_MAX / k)
     m2, m3 = np.meshgrid(grid, grid, indexing="ij")
     m2, m3 = m2.ravel(), m3.ravel()
@@ -351,6 +357,15 @@ def _rejection_sample(rng, count: int, propose, accept) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
+def _check_samples(samples):
+    """Refuse a sample count outside [1, ``_MAX_SAMPLES``]."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples {samples!r} is above the ceiling {_MAX_SAMPLES:.0e} "
+                         "per report")
+
+
 def _sampled_report(check, params, samples, seed, chunk, pick=min):
     """Report the ``pick`` of ``chunk(rng, count) -> (value, arg, violations)``.
 
@@ -359,11 +374,7 @@ def _sampled_report(check, params, samples, seed, chunk, pick=min):
     summed over the chunks.  A ``SamplingFailureError`` is raised again with
     the check and its params in front.
     """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples {samples!r} is above the ceiling {_MAX_SAMPLES:.0e} "
-                         "per report")
+    _check_samples(samples)
     try:
         results = [chunk(np.random.default_rng(np.random.SeedSequence([seed, lo])),
                          min(_CHUNK, samples - lo)) for lo in range(0, samples, _CHUNK)]
@@ -470,6 +481,12 @@ def _dilation_and_detb(a: np.ndarray):
     return np.abs(det), 1.0 + (a * a).sum(axis=(1, 2)) + det * det
 
 
+def _check_xi11(lam_bound, eps):
+    """Refuse a xi_11 experiment outside Lambda > 0 and 0 < eps < 1."""
+    if lam_bound <= 0 or not 0.0 < eps < 1.0:
+        raise ValueError("need Lambda > 0 and eps in (0, 1)")
+
+
 def xi11_sampler(lam_bound: float, eps: float, samples: int, seed: int) -> ScanReport:
     """Sampling experiment for the near-diagonal xi_11 concentration estimate.
 
@@ -481,8 +498,7 @@ def xi11_sampler(lam_bound: float, eps: float, samples: int, seed: int) -> ScanR
     The estimate itself is asymptotic in eps; the testable contract is that
     the reported max is non-increasing as eps decreases.
     """
-    if lam_bound <= 0 or not 0.0 < eps < 1.0:
-        raise ValueError("need Lambda > 0 and eps in (0, 1)")
+    _check_xi11(lam_bound, eps)
     a_min = (1.0 - eps) / np.sqrt(1.0 - (1.0 - eps) ** 2)
     a_max = max(3.0 * a_min, 12.0)  # the sup of |xi_11| is approached at large a_11
 

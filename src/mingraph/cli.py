@@ -143,6 +143,14 @@ def cmd_verify_algebra(args) -> int:
     constraint = cfg.get("constraint", "sharp")
     lam_values = [float(v) for v in cfg.get("lam_values", [0.5, 1.0, 1.2, math.sqrt(2)])]
     eps_values = [float(v) for v in cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01])]
+    # each value checked once, before the pool: a report refuses a bad one only
+    # after the reports ahead of it have run
+    algebra._grid_divisions(step)
+    algebra._check_samples(samples)
+    for lam in lam_values:
+        algebra._check_lambda(lam)
+    for eps in eps_values:
+        algebra._check_xi11(1.0, eps)
     _log(out, f"verify-algebra seed={seed} threads={threads}")
 
     # the one pool of algebra work: whole reports, each running its grid
@@ -166,6 +174,19 @@ def cmd_verify_algebra(args) -> int:
     return EXIT_OK if not bad else EXIT_ASSERTION
 
 
+# interior values times m: about 270 B each at 3-4 Newton steps and up to about
+# 760 B with a full Krylov basis, so at most about 1.5 GB here
+_MAX_UNKNOWNS = 2 * 10**6
+
+
+def _check_unknowns(dims, m) -> None:
+    """Refuse a solve above ``_MAX_UNKNOWNS`` before any of it is allocated."""
+    unknowns = math.prod(max(d - 2, 0) for d in dims) * m
+    if unknowns > _MAX_UNKNOWNS:
+        raise InvalidConfigError(f"dims {list(dims)} with m = {m} ask for {unknowns:.2e} "
+                                 f"unknowns, above the ceiling {_MAX_UNKNOWNS:.0e}")
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
@@ -175,6 +196,7 @@ def cmd_solve(args) -> int:
         if not path.is_file():
             raise InvalidConfigError(f"patch manifest not found: {path}")
         patch = solver.load_patch(path)
+        _check_unknowns(patch.dims, patch.m)
     else:
         model = _get_model(cfg)
         dims = cfg.get("dims")
@@ -183,6 +205,7 @@ def cmd_solve(args) -> int:
         if dims is None or spacing is None or origin is None:
             raise InvalidConfigError("solve config needs dims, spacing, origin")
         dims = [_integer(d, "dims") for d in dims]
+        _check_unknowns(dims, model.m)
         patch = solver.GraphPatch.from_model(model, origin, dims, float(spacing))
         interior = tuple(slice(1, -1) for _ in range(patch.n))
         patch.values[interior] = 0.0  # keep only the boundary data
@@ -203,11 +226,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
+# about 50 us and 2.7 KB per point: some 10 s and 0.5 GB here
+_MAX_DIAGNOSE_POINTS = 2 * 10**5
+
+
 def _diagnose_points(cfg, model, seed):
     pts_cfg = cfg.get("points", {})
     count = _integer(pts_cfg.get("count", 100), "points.count")
     if count < 0:
         raise InvalidConfigError(f"points.count must be >= 0, got {count}")
+    if count > _MAX_DIAGNOSE_POINTS:
+        raise InvalidConfigError(f"points.count {count} is above the ceiling "
+                                 f"{_MAX_DIAGNOSE_POINTS:.0e}")
     asserted = [k for k in ("assert_gap_max", "assert_margin_sqrt2_min")
                 if cfg.get(k) is not None]
     if count == 0 and asserted:
@@ -268,8 +298,6 @@ def cmd_measure(args) -> int:
     out = _out_dir(args)
     model = _get_model(cfg)
     radii = [float(r) for r in cfg.get("radii", [])]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidConfigError("measure config needs strictly increasing radii")
     resolution = _integer(cfg.get("resolution", 64), "resolution")
     bounds = cfg.get("volume_lower_bounds", [])
     for rho, _ in bounds:

@@ -57,10 +57,12 @@ class DensityProfile:
 
 
 def _ambient_center(model: AnalyticModel, center) -> np.ndarray:
-    """``center`` as an array, refused unless it has length n + m."""
+    """``center`` as an array, refused unless it has n + m finite entries."""
     center = np.asarray(center, dtype=float)
     if center.shape != (model.n + model.m,):
         raise ValueError(f"center must be an ambient point of length {model.n + model.m}")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
     return center
 
 
@@ -79,8 +81,6 @@ def graph_volume(
     if resolution < 32:
         raise ValueError(f"resolution must be an integer >= 32, got {resolution!r}")
     center = _ambient_center(model, center)
-    if not np.all(np.isfinite(center)):
-        raise ValueError(f"center must be finite, got {center.tolist()}")
     n = model.n
 
     def margin(x):

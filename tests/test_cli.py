@@ -668,3 +668,71 @@ def test_verify_algebra_samples_above_the_ceiling_is_invalid_input(tmp_path, cap
     line = _error_line(capsys)
     assert "samples 1000000000000" in line and "ceiling" in line
     assert not (out / "verify_algebra.json").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"grid_step": 0.02, "samples": 1e12}, "samples 1000000000000 is above the ceiling"),
+    ({"grid_step": 0.02, "samples": 0}, "samples must be positive"),
+    ({"grid_step": 0.02, "samples": 100, "eps_values": [0.1, 2.0]},
+     "need Lambda > 0 and eps in (0, 1)"),
+    ({"grid_step": 0.02, "samples": 100, "lam_values": [0.5, 3.0]},
+     "Lambda must lie in (0, sqrt(2)], got 3.0"),
+], ids=["samples-ceiling", "samples-zero", "eps", "lambda"])
+def test_verify_algebra_checks_every_value_before_any_report(payload, message, tmp_path,
+                                                            capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("every value is checked before the first scan")
+
+    monkeypatch.setattr(cli.algebra, "_scan_grid", no_scan)
+    cfg = write_cfg(tmp_path, "va.json", payload)
+    out = tmp_path / "o"
+    assert run(["verify-algebra", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert message in _error_line(capsys)
+    assert not (out / "verify_algebra.json").exists()
+
+
+def test_diagnose_point_count_above_the_ceiling_is_invalid_input(tmp_path, capsys):
+    # 10^12 points would ask for terabytes; the count is refused before any draw
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "lawson-osserman",
+                                             "points": {"count": 10**12}})
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "points.count 1000000000000" in line and "ceiling" in line
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_solve_dims_above_the_ceiling_are_invalid_input(tmp_path, capsys, monkeypatch):
+    def no_patch(*args):
+        raise AssertionError("dims are checked before the grid is sampled")
+
+    monkeypatch.setattr(cli.solver.GraphPatch, "from_model", no_patch)
+    cfg = write_cfg(tmp_path, "solve.json", {"model": "slag-exp", "origin": [0, 0],
+                                             "dims": [10**5, 10**5], "spacing": 1e-5})
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "dims [100000, 100000] with m = 2" in line and "ceiling" in line
+    assert not (out / "solved.json").exists()
+
+
+def test_solve_patch_above_the_ceiling_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # a small MGP1 patch against a lowered ceiling: refused before the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the patch is checked before the solve")
+
+    patch = solver.GraphPatch(2, 2, (5, 5), 0.25, [0, 0], np.zeros((5, 5, 2)))
+    solver.save_patch(patch, tmp_path / "in.json")
+    monkeypatch.setattr(cli, "_MAX_UNKNOWNS", 17)
+    monkeypatch.setattr(cli.solver, "solve", no_solve)
+    cfg = write_cfg(tmp_path, "solve.json", {"patch": str(tmp_path / "in.json")})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "dims [5, 5] with m = 2" in line and "ceiling" in line
+
+
+def test_ceilings_admit_the_benchmark_sizes():
+    # diagnose runs 300 points; solve runs 129^2 and 17^3, both with m = 2
+    assert 300 <= cli._MAX_DIAGNOSE_POINTS
+    cli._check_unknowns([129, 129], 2)
+    cli._check_unknowns([17, 17, 17], 2)

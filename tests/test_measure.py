@@ -234,7 +234,7 @@ def test_graph_volume_rejects_a_non_finite_radius(radius):
 
 
 @pytest.mark.parametrize("center,profile_error", [
-    ([math.nan, 0.0, 1.0, 0.0], "does not lie on the graph"),
+    ([math.nan, 0.0, 1.0, 0.0], "center must be finite"),
     ([0.0, 0.0, math.inf, 0.0], "center must be finite"),
 ], ids=["nan", "inf"])
 def test_graph_volume_rejects_a_non_finite_center(monkeypatch, center, profile_error):
@@ -244,8 +244,7 @@ def test_graph_volume_rejects_a_non_finite_center(monkeypatch, center, profile_e
     monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
     with pytest.raises(ValueError, match="center must be finite"):
         measure.graph_volume(model_slag_exp(), center, 1.0)
-    # a NaN distance to the graph fails density_profile's on-graph test, and an
-    # infinite centre, at an infinite distance, reaches graph_volume's check
+    # density_profile refuses a NaN or infinite centre before its on-graph test
     with pytest.raises(ValueError, match=profile_error):
         measure.density_profile(model_slag_exp(), center, [1.0, 2.0])
 
