@@ -63,8 +63,8 @@ def _load_config(args) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    """An integral config value: 1e5 reads as 100000, and 40.7 is refused."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integral config value: 1e5 reads as 100000; 40.7 and true are refused."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise InvalidConfigError(f"config key '{key}' must be an integer, got {value!r}")
     return int(value)
 
@@ -135,7 +135,6 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify_algebra(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     seed = _seed(args, cfg)
     threads = args.threads
     step = float(cfg.get("grid_step", 0.05))
@@ -151,6 +150,7 @@ def cmd_verify_algebra(args) -> int:
         algebra._check_lambda(lam)
     for eps in eps_values:
         algebra._check_xi11(1.0, eps)
+    out = _out_dir(args)
     _log(out, f"verify-algebra seed={seed} threads={threads}")
 
     # the one pool of algebra work: whole reports, each running its grid
@@ -189,8 +189,6 @@ def _check_unknowns(dims, m) -> None:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
-    _log(out, "solve")
     if "patch" in cfg:
         path = Path(cfg["patch"])
         if not path.is_file():
@@ -214,6 +212,8 @@ def cmd_solve(args) -> int:
         tol=float(cfg.get("tol", solver.DEFAULT_TOL)),
         max_iter=_integer(cfg.get("max_iter", 50), "max_iter"),
     )
+    out = _out_dir(args)  # after solve's own checks of tol and max_iter
+    _log(out, "solve")
     solver.save_patch(patch, out / "solved.json")
     _write_json(out / "solve_report.json", report.to_dict())
     with open(out / "run.log", "a") as fh:  # timings vary: one JSON line each
@@ -232,6 +232,9 @@ _MAX_DIAGNOSE_POINTS = 2 * 10**5
 
 def _diagnose_points(cfg, model, seed):
     pts_cfg = cfg.get("points", {})
+    if not isinstance(pts_cfg, dict):
+        raise InvalidConfigError(
+            f"config key 'points' must be a JSON object, got {pts_cfg!r}")
     count = _integer(pts_cfg.get("count", 100), "points.count")
     if count < 0:
         raise InvalidConfigError(f"points.count must be >= 0, got {count}")
@@ -260,16 +263,18 @@ def _diagnose_points(cfg, model, seed):
 
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     model = _get_model(cfg)
     seed = _seed(args, cfg)
     step = float(cfg.get("step", 1e-3))
+    if not 0.0 < step < math.inf:
+        raise InvalidConfigError(f"step must be positive and finite, got {step!r}")
     lam_bound = float(cfg.get("lam_bound", math.sqrt(2.0)))
     if not 0.0 < lam_bound < math.inf:
         raise InvalidConfigError(
             f"lam_bound must be positive and finite, got {lam_bound!r}")
-    _log(out, f"diagnose model={model.label} seed={seed}")
     pts = _diagnose_points(cfg, model, seed)
+    out = _out_dir(args)
+    _log(out, f"diagnose model={model.label} seed={seed}")
     rep = diagnostics.write_diagnostics_csv(model, pts, out / "diagnostics.csv",
                                             step, lam_bound)
     margin_floor = cfg.get("assert_margin_sqrt2_min")
@@ -295,7 +300,6 @@ def cmd_diagnose(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     model = _get_model(cfg)
     radii = [float(r) for r in cfg.get("radii", [])]
     resolution = _integer(cfg.get("resolution", 64), "resolution")
@@ -313,8 +317,9 @@ def cmd_measure(args) -> int:
             else np.zeros(model.n + model.m)
         )
     center = np.asarray(center, dtype=float)
-    _log(out, f"measure model={model.label}")
     profile = measure.density_profile(model, center, radii, resolution, args.threads)
+    out = _out_dir(args)  # after the profile's checks of the radii and centre
+    _log(out, f"measure model={model.label}")
     with open(out / "measure.csv", "w") as fh:
         fh.write("radius,volume,ratio,est_error\n")
         for rho, vol, ratio, err in zip(profile.radii, profile.volumes, profile.ratios,

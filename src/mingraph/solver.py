@@ -4,11 +4,11 @@ Uniform grids over a box in R^n (n = 2, 3 or 4) carrying m-vector node values
 with Dirichlet boundary data on the outermost node layer.  The strong form
 sum_{ij} g^{ij} d^2 u^alpha / dx_i dx_j = 0 is discretized with second-order
 central differences, written once in ``_interior_derivatives``, and solved by
-damped Newton with a frozen-coefficient Picard fallback.  No matrix is
-formed: GMRES solves each linear step with the operator applied to vectors,
-right-preconditioned by the residual's own Laplacian tr H, which a sine
-transform diagonalizes.  The slope is bounded, so the operator is spectrally
-equivalent to that Laplacian uniformly in the spacing.
+Newton's method under pseudo-transient continuation.  No matrix is formed:
+GMRES solves each shifted linear step with the operator applied to vectors,
+right-preconditioned by the residual's own Laplacian tr H, shifted alike,
+which a sine transform diagonalizes.  The slope is bounded, so the operator
+is spectrally equivalent to that Laplacian uniformly in the spacing.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ _GMRES_RTOL = 1e-12  # smallest relative residual a linear solve aims for
 _ETA_MAX = 0.1  # largest relative residual a Newton step's linear solve may keep
 _GMRES_RESTART = 60  # Krylov vectors kept before GMRES restarts
 _GMRES_CYCLES = 5  # GMRES cycles before a linear solve counts as missed
+# the first pseudo-time shift is |F_0|_inf / _SHIFT_DIVISOR: of 3, 10, 30 and
+# 100, only 10 solved all ten steep 17^3 patches (boundary data x30, seeds 0-9)
+_SHIFT_DIVISOR = 10.0
 
 
 @dataclass
@@ -140,8 +143,8 @@ def _shift(arr, offset):
 def _interior_derivatives(values, spacing: float):
     """Du (..., m, n) and Hessians (..., m, n, n) at interior nodes (1:-1).
 
-    The solver's one home of difference quotients: the Newton and Picard
-    operators apply it to a direction, and ``_laplacian_symbol`` reads the
+    The solver's one home of difference quotients: the Newton operator
+    applies it to a direction, and ``_laplacian_symbol`` reads the
     preconditioner's eigenvalues off it.
     """
     U, h, n = values, spacing, values.ndim - 1
@@ -174,11 +177,11 @@ def strong_residual_field(patch: GraphPatch) -> np.ndarray:
 class SolveReport:
     """Outcome of ``solve``.
 
-    ``iteration_log`` holds one dict per Newton iteration: residual, step,
-    the relative GMRES tolerance ``eta`` of its linear solves, seconds to
-    freeze the coefficients (``assemble_s``) and to run GMRES (``solve_s``),
-    GMRES iterations, and ``gmres_converged``, false when a linear solve
-    missed its tolerance (a Picard step sums both solves).
+    ``iteration_log`` holds one dict per Newton iteration: residual, step
+    length (always 1), pseudo-time ``shift``, the relative GMRES tolerance
+    ``eta`` of its linear solve, seconds to freeze the coefficients
+    (``assemble_s``) and to run GMRES (``solve_s``), GMRES iterations, and
+    ``gmres_converged``, false when the linear solve missed its tolerance.
     ``converged`` is judged on the strong residual alone.  The log is left
     out of ``to_dict`` because its timings vary between runs.
     """
@@ -215,8 +218,7 @@ def _laplacian_symbol(dims: tuple, spacing: float) -> np.ndarray:
     """Eigenvalues of L = tr H (zero boundary values) per sine mode, read-only.
 
     Read off ``_interior_derivatives`` as DST(L delta) / DST(delta) for a
-    unit delta at the first interior node, and scaled by the transform's
-    round-trip factor, the product of (N + 1)/2 over axes of N interior nodes.
+    unit delta at the first interior node.
     """
     n = len(dims)
     delta = np.zeros(dims + (1,))
@@ -224,33 +226,32 @@ def _laplacian_symbol(dims: tuple, spacing: float) -> np.ndarray:
     _, H = _interior_derivatives(delta, spacing)
     symbol = (_sine_transform(np.trace(H, axis1=-2, axis2=-1), n)
               / _sine_transform(_shift(delta, [0] * n), n))[..., 0]
-    symbol *= np.prod([(size - 1) / 2 for size in dims])  # N = size - 2
     symbol.flags.writeable = False
     return symbol
 
 
-def _poisson_solve(patch: GraphPatch, f) -> np.ndarray:
-    """L^{-1} f for each component of f (inner dims + (m,)), L = tr H."""
-    symbol = _laplacian_symbol(patch.dims, patch.spacing)[..., None]
-    return _sine_transform(_sine_transform(f, patch.n) / symbol, patch.n)
+def _poisson_solve(patch: GraphPatch, f, shift: float = 0.0) -> np.ndarray:
+    """(L - shift)^{-1} f for each component of f (inner dims + (m,)), L = tr H."""
+    symbol = _laplacian_symbol(patch.dims, patch.spacing) - shift
+    # the transforms' round trip scales by (N + 1)/2 per axis of N = size - 2 nodes
+    symbol *= np.prod([(size - 1) / 2 for size in patch.dims])
+    return _sine_transform(_sine_transform(f, patch.n) / symbol[..., None], patch.n)
 
 
-def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
-    """The strong residual's derivative at ``patch``, as a map v -> J v.
+def _jacobian_action(patch: GraphPatch, shift: float):
+    """The strong residual's derivative J at ``patch``, shifted: v -> J v - shift v.
 
     The residual is g^{kl}(Du) H_kl.  A direction v (flat interior values,
     zero on the boundary) enters through Dv and Hv from
     ``_interior_derivatives``.  The principal part g^{kl} Hv^alpha_kl acts
     on each component; the gradient terms -2 (g^{-1} H^alpha g^{-1}
     Du^beta)_r Dv^beta_r differentiate g^{kl} through Du.  Both
-    coefficients are frozen here; without the gradient terms this is the
-    frozen-coefficient (Picard) operator.
+    coefficients are frozen here.
     """
     Du, H = _interior_derivatives(patch.values, patch.spacing)
     ginv = metric_inverse(Du)
-    if include_gradient_terms:
-        w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
-        coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
+    w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
+    coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
     direction = np.zeros_like(patch.values)
     inner = _shift(direction, [0] * patch.n)  # a view: written below
 
@@ -258,29 +259,29 @@ def _jacobian_action(patch: GraphPatch, include_gradient_terms: bool):
         inner[...] = v.reshape(inner.shape)
         Dv, Hv = _interior_derivatives(direction, patch.spacing)
         out = np.einsum("...kl,...akl->...a", ginv, Hv)
-        if include_gradient_terms:
-            out += np.einsum("...abr,...br->...a", coeff, Dv)
-        return out.ravel()
+        out += np.einsum("...abr,...br->...a", coeff, Dv)
+        return out.ravel() - shift * v
 
     return action
 
 
-def _krylov_solve(patch: GraphPatch, action, rhs, rtol: float):
+def _krylov_solve(patch: GraphPatch, action, rhs, rtol: float, shift: float = 0.0):
     """Solve action(x) = rhs (inner dims + (m,)) by preconditioned GMRES.
 
     Restarted GMRES (Saad & Schultz 1986) from x = 0, right-preconditioned by
-    M = ``_poisson_solve``: Arnoldi on action(M v) by modified Gram-Schmidt,
-    and Givens rotations as LAPACK's dlartg forms them between under- and
-    overflow.  A cycle starts from the true residual, whose norm the rotated
-    Hessenberg residual then estimates; it stops there at ``rtol`` |rhs|, and
-    the true residual is checked after each cycle.  Returns x and its stats:
-    seconds, GMRES iterations, and whether the true residual met that
-    tolerance within ``_GMRES_CYCLES`` cycles of ``_GMRES_RESTART`` iterations.
+    M = ``_poisson_solve`` at ``shift``: Arnoldi on action(M v) by modified
+    Gram-Schmidt, and Givens rotations as LAPACK's dlartg forms them between
+    under- and overflow.  A cycle starts from the true residual, whose norm
+    the rotated Hessenberg residual then estimates; it stops there at
+    ``rtol`` |rhs|, and the true residual is checked after each cycle.
+    Returns x and its stats: seconds, GMRES iterations, and whether the true
+    residual met that tolerance within ``_GMRES_CYCLES`` cycles of
+    ``_GMRES_RESTART`` iterations.
     """
     shape, b = rhs.shape, rhs.ravel()
 
     def precondition(r):
-        return _poisson_solve(patch, r.reshape(shape)).ravel()
+        return _poisson_solve(patch, r.reshape(shape), shift).ravel()
 
     start = time.perf_counter()
     eps, restart = np.finfo(float).eps, min(_GMRES_RESTART, b.size)
@@ -346,21 +347,20 @@ def solve(
     max_iter: int = 50,
     initial_guess: bool = True,
 ) -> SolveReport:
-    """Damped-Newton solve of the discrete minimal surface system in place.
+    """Newton solve of the discrete minimal surface system in place.
 
     Boundary values are kept fixed; interior values are updated until the
-    strong residual sup-norm drops below ``tol``.  A Newton step of length t
-    is accepted when it lowers the residual by the factor 1 - 1e-4 t; from
-    t = 1 it is halved down to 2^-10, above the residual's rounding noise,
-    and then a frozen-coefficient Picard step is tried.  A step shorter than
-    1 that passes is halved on while the residual keeps falling, so that a
-    step twice too long is not taken.  Each linear step
-    is one ``_krylov_solve`` of ``_jacobian_action`` (inexact Newton): its
-    relative tolerance eta starts at 0.1 and then follows Eisenstat &
-    Walker's choice 2, 0.9 (|F_k| / |F_k-1|)^2 in the sup-norm, floored at
-    tol / (2 |F_k|_2) so that the last step is not solved past the stop
-    test, and kept within [``_GMRES_RTOL``, ``_ETA_MAX``].  A Picard step
-    takes its iteration's eta.  The solve stops at ``tol``, at ``max_iter``
+    strong residual sup-norm drops below ``tol``.  Pseudo-transient
+    continuation (Kelley & Keyes 1998) globalizes Newton: each iteration
+    takes in full the solution s of (J - sigma I) s = -F.  The shift sigma
+    starts at |F_0| / ``_SHIFT_DIVISOR`` and is scaled by |F_k+1| / |F_k|
+    (Mulder & van Leer's SER), so it falls with the residual toward Newton.
+    Each linear step is one ``_krylov_solve`` of ``_jacobian_action``
+    (inexact Newton): its relative tolerance eta starts at 0.1 and then
+    follows Eisenstat & Walker's choice 2, 0.9 (|F_k| / |F_k-1|)^2, floored
+    at tol / (2 |F_k|_2) so that the last step is not solved past the stop
+    test, and kept within [``_GMRES_RTOL``, ``_ETA_MAX``].  Norms are
+    sup-norms unless marked.  The solve stops at ``tol``, at ``max_iter``
     iterations, or after 20 consecutive iterations above 10x the best
     residual (divergence), and hands back the best iterate.
     """
@@ -372,14 +372,6 @@ def solve(
         harmonic_initial_guess(patch)
     inner = tuple(slice(1, -1) for _ in range(patch.n))
 
-    def linear_step(R, include_gradient_terms, eta):
-        start = time.perf_counter()
-        action = _jacobian_action(patch, include_gradient_terms)
-        assembled = time.perf_counter() - start
-        delta, stats = _krylov_solve(patch, action, -R, eta)
-        stats["assemble_s"] = assembled
-        return delta, stats
-
     def residual_at(values):
         patch.values[inner] = values
         R = strong_residual_field(patch)
@@ -389,47 +381,30 @@ def solve(
     best_vals, best_norm = patch.values.copy(), res_norm
     log, bad_streak = [], 0
     forcing = 0.1  # Eisenstat-Walker's eta_0
+    shift = res_norm / _SHIFT_DIVISOR
     while res_norm > tol and len(log) < max_iter and bad_streak < 20:
         # Kelley's floor: |.|_inf <= |.|_2, so the linear model is not solved
         # past the stop test
         floor = 0.5 * tol / float(np.linalg.norm(R))
         eta = min(_ETA_MAX, max(forcing, floor, _GMRES_RTOL))
-        delta, stats = linear_step(R, include_gradient_terms=True, eta=eta)
-        base = patch.values[inner].copy()
-        for step in [0.5**k for k in range(11)]:
-            trial, trial_norm = residual_at(base + step * delta)
-            if trial_norm <= (1.0 - 1e-4 * step) * res_norm:
-                break
-        else:
-            # the Picard step (-1), taken in full with the coefficients frozen
-            # at ``base`` and no gradient terms
-            patch.values[inner] = base
-            delta, picard = linear_step(R, include_gradient_terms=False, eta=eta)
-            stats = dict({key: stats[key] + picard[key] for key in stats},
-                         gmres_converged=stats["gmres_converged"]
-                         and picard["gmres_converged"])
-            step = -1.0
-            trial, trial_norm = residual_at(base + delta)
-        # a damped step is too long by an unknown factor: halve on while the
-        # residual falls.  A step twice too long lands near -R, whose norm an
-        # inexact step's linear residual can pull just under the test above
-        while 0.5**10 < step < 1.0:
-            shorter, shorter_norm = residual_at(base + 0.5 * step * delta)
-            if shorter_norm >= trial_norm:
-                patch.values[inner] = base + step * delta
-                break
-            step, trial, trial_norm = 0.5 * step, shorter, shorter_norm
+        start = time.perf_counter()
+        action = _jacobian_action(patch, shift)
+        assembled = time.perf_counter() - start
+        delta, stats = _krylov_solve(patch, action, -R, eta, shift)
+        trial, trial_norm = residual_at(patch.values[inner] + delta)
+        log.append(dict(stats, assemble_s=assembled, iteration=len(log) + 1,
+                        residual=trial_norm, step=1.0, eta=eta, shift=shift))
         # Eisenstat-Walker choice 2 (gamma = 0.9, alpha = 2); their safeguard,
         # 0.9 eta^2 once that exceeds 0.1, cannot act under _ETA_MAX = 0.1.
-        # The ratio is taken in the sup-norm of the stop and line-search
-        # tests, while GMRES bounds the 2-norm.  On N values the two norms
-        # differ by at most sqrt(N), which only scales gamma by up to N in
-        # EW's local analysis (eta = O(|F_k|^2 / |F_k-1|^2) in either norm);
-        # the clamp to _ETA_MAX < 1 and Kelley's 2-norm floor hold as written
-        forcing = 0.9 * (trial_norm / res_norm) ** 2
+        # The ratio is taken in the sup-norm of the stop test, while GMRES
+        # bounds the 2-norm.  On N values the two norms differ by at most
+        # sqrt(N), which only scales gamma by up to N in EW's local analysis
+        # (eta = O(|F_k|^2 / |F_k-1|^2) in either norm); the clamp to
+        # _ETA_MAX < 1 and Kelley's 2-norm floor hold as written.  SER scales
+        # the shift, not its inverse, so a zero residual divides nothing
+        ratio = trial_norm / res_norm
+        forcing, shift = 0.9 * ratio**2, shift * ratio
         R, res_norm = trial, trial_norm
-        log.append(dict(stats, iteration=len(log) + 1, residual=res_norm, step=step,
-                        eta=eta))
         if res_norm < best_norm:
             best_norm, best_vals, bad_streak = res_norm, patch.values.copy(), 0
         else:

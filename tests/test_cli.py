@@ -141,8 +141,9 @@ def test_solve_logs_each_newton_iteration(tmp_path):
     assert [entry["step"] for entry in lines] == report["damping_history"]
     assert lines[-1]["residual"] == report["residual"]
     for entry in lines:
-        assert set(entry) == {"iteration", "residual", "step", "eta", "assemble_s",
-                              "solve_s", "gmres_iterations", "gmres_converged"}
+        assert set(entry) == {"iteration", "residual", "step", "eta", "shift",
+                              "assemble_s", "solve_s", "gmres_iterations",
+                              "gmres_converged"}
         assert 1e-12 <= entry["eta"] <= 0.1
         assert min(entry["assemble_s"], entry["solve_s"]) >= 0.0
         assert entry["gmres_iterations"] >= 1
@@ -532,6 +533,11 @@ def test_write_json_writes_non_finite_floats_as_null(tmp_path):
     ("diagnose", {"model": "slag-exp", "points": {"count": 5.5}}, "points.count"),
     ("diagnose", {"model": "slag-exp", "points": {"count": 5}, "seed": 0.5}, "seed"),
     ("measure", {"model": "affine", "radii": [1, 2], "resolution": 40.7}, "resolution"),
+    # JSON booleans are not integers, and points must be an object
+    ("diagnose", {"model": "slag-exp", "points": {"count": True}}, "points.count"),
+    ("solve", {"model": "affine", "origin": [0, 0], "dims": [5, 5], "spacing": 0.25,
+               "max_iter": True}, "max_iter"),
+    ("diagnose", {"model": "slag-exp", "points": [1, 2]}, "points"),
 ])
 def test_non_integral_config_value_is_invalid_input(sub, payload, key, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", payload)
@@ -554,6 +560,22 @@ def test_negative_seed_is_invalid_input(sub, payload, config_seed, flag, tmp_pat
     assert _error_line(capsys) == (
         f"error: seed must be a non-negative integer, got {value}")
     assert not (tmp_path / "o" / "run.log").exists()
+
+
+@pytest.mark.parametrize("sub,payload", [
+    ("verify-algebra", {"grid_step": 0.02, "samples": 1e12}),
+    ("solve", {"model": "affine", "origin": [0, 0], "dims": [5, 5], "spacing": 0.25,
+               "max_iter": -1}),
+    ("diagnose", {"model": "slag-exp", "points": [1, 2]}),
+    ("diagnose", {"model": "slag-exp", "points": {"count": 5}, "step": -1e-3}),
+    ("measure", {"model": "affine", "radii": [2, 1]}),
+], ids=["verify-algebra", "solve", "diagnose-points", "diagnose-step", "measure"])
+def test_refused_run_leaves_no_output_directory(sub, payload, tmp_path):
+    # the output directory and run.log are made only after the last input check
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert run([sub, "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert not out.exists()
 
 
 def test_integral_float_config_values_read_as_integers(tmp_path):

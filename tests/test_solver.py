@@ -1,5 +1,6 @@
 """Unit tests for the grid patch solver, residuals, and MGP1 round trips."""
 
+import ast
 import inspect
 import itertools
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -345,93 +347,32 @@ def test_weak_harmonicity_defect_matches_node_loop(dims):
             weak_defect_node_loop(patch, alpha), rel=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(9, 6), (7, 5, 6), (5, 6, 4, 7)])
-def test_poisson_solve_inverts_the_residual_laplacian(dims):
-    # the sine-transform solve inverts tr H of _interior_derivatives with
-    # zero boundary values, on unequal axes, for every component
+@pytest.mark.parametrize("dims, shift", [
+    pytest.param((9, 6), 0.0, id="dims0"),
+    pytest.param((7, 5, 6), 0.0, id="dims1"),
+    pytest.param((5, 6, 4, 7), 0.0, id="dims2"),
+    pytest.param((7, 5, 6), 3.0, id="dims1-shift3"),
+])
+def test_poisson_solve_inverts_the_residual_laplacian(dims, shift):
+    # the sine-transform solve inverts tr H of _interior_derivatives, less
+    # the pseudo-time shift, with zero boundary values, on unequal axes, for
+    # every component
     n, m = len(dims), 2
     patch = solver.GraphPatch(n, m, dims, 0.3, np.zeros(n), np.zeros(dims + (m,)))
     f = np.random.default_rng(n).standard_normal(tuple(d - 2 for d in dims) + (m,))
-    patch.values[tuple(slice(1, -1) for _ in dims)] = solver._poisson_solve(patch, f)
+    inner = tuple(slice(1, -1) for _ in dims)
+    patch.values[inner] = solver._poisson_solve(patch, f, shift)
     _, H = solver._interior_derivatives(patch.values, patch.spacing)
-    laplacian = np.trace(H, axis1=-2, axis2=-1)
-    assert np.max(np.abs(laplacian - f)) <= 1e-12 * np.max(np.abs(f))
-
-
-def test_picard_fallback_converges_through_the_krylov_solve(monkeypatch):
-    # a negated Newton action turns every damped Newton step into an ascent
-    # step, so the first two iterations fall back to the frozen-coefficient
-    # Picard step; later ones run plain Newton
-    jacobian_action = solver._jacobian_action
-    negated = []
-
-    def negated_newton(patch, include_gradient_terms):
-        action = jacobian_action(patch, include_gradient_terms)
-        if include_gradient_terms and len(negated) < 2:
-            negated.append(patch.dims)
-            return lambda v: -action(v)
-        return action
-
-    solves = []
-    krylov_solve = solver._krylov_solve
-
-    def counting_solve(patch, action, rhs, rtol):
-        # the second solve, the first Picard one, reports a missed tolerance
-        x, stats = krylov_solve(patch, action, rhs, rtol)
-        solves.append(rtol)
-        return x, dict(stats, gmres_converged=stats["gmres_converged"]
-                       and len(solves) != 2)
-
-    monkeypatch.setattr(solver, "_jacobian_action", negated_newton)
-    monkeypatch.setattr(solver, "_krylov_solve", counting_solve)
-    slag = model_slag_exp()
-    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
-    exact = patch.values.copy()
-    patch.values[1:-1, 1:-1] = 0.0
-    report = solver.solve(patch)
-    assert report.converged
-    assert report.damping_history[:2] == [-1.0, -1.0]
-    assert all(step == 1.0 for step in report.damping_history[2:])
-    residuals = [entry["residual"] for entry in report.iteration_log]
-    assert residuals == sorted(residuals, reverse=True)
-    # a Newton and a Picard solve per fallback step, then one per Newton step
-    assert len(solves) == 2 * 2 + (report.iterations - 2)
-    # both solves of a fallback step run at the eta its log entry shows
-    etas = [entry["eta"] for entry in report.iteration_log]
-    assert solves == [etas[0]] * 2 + [etas[1]] * 2 + etas[2:]
-    # a Picard step's log entry flags a miss of either of its two solves
-    flags = [entry["gmres_converged"] for entry in report.iteration_log]
-    assert flags == [False] + [True] * (report.iterations - 1)
-    assert np.max(np.abs(patch.values - exact)) < 1e-3
-
-
-def test_ascent_directions_reach_picard_every_iteration(monkeypatch):
-    # with the Newton action negated on every iteration no Newton step may
-    # pass the sufficient-decrease test, however small the residual: each
-    # iteration must end in the Picard fallback, which converges on its own
-    jacobian_action = solver._jacobian_action
-
-    def negated_newton(patch, include_gradient_terms):
-        action = jacobian_action(patch, include_gradient_terms)
-        return (lambda v: -action(v)) if include_gradient_terms else action
-
-    monkeypatch.setattr(solver, "_jacobian_action", negated_newton)
-    slag = model_slag_exp()
-    patch = solver.GraphPatch.from_model(slag, [0, 0], (17, 17), 1 / 16)
-    exact = patch.values.copy()
-    patch.values[1:-1, 1:-1] = 0.0
-    report = solver.solve(patch)
-    assert report.converged
-    assert report.damping_history == [-1.0] * report.iterations
-    assert np.max(np.abs(patch.values - exact)) < 1e-3
+    shifted = np.trace(H, axis1=-2, axis2=-1) - shift * patch.values[inner]
+    assert np.max(np.abs(shifted - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 def scaled_linear_steps(monkeypatch, factor):
     """Make every Krylov solve return ``factor`` times its solution."""
     krylov_solve = solver._krylov_solve
 
-    def scaled(patch, action, rhs, rtol):
-        x, stats = krylov_solve(patch, action, rhs, rtol)
+    def scaled(*args):
+        x, stats = krylov_solve(*args)
         return factor * x, stats
 
     monkeypatch.setattr(solver, "_krylov_solve", scaled)
@@ -444,25 +385,29 @@ def slag_patch_from_harmonic_guess():
     return patch
 
 
-def test_damped_newton_step_is_accepted(monkeypatch):
-    # a Newton step 4x too long fails the line search at t = 1, and t = 1/2
-    # fails or is halved on to t = 1/4, which is exactly the Newton step: the
-    # iterates are those of the undamped solve, bit for bit.  As shipped,
-    # the inexact step's linear residual lets t = 1/2 pass on iteration 2;
-    # solved to _GMRES_RTOL, t = 1/2 fails outright
+def test_pseudo_time_shift_follows_ser(monkeypatch):
+    # sigma_0 = |F_0| / 10, then sigma scales by each step's residual ratio
+    # (SER), which keeps sigma_k = |F_k| / 10; each step's one linear solve
+    # runs at the eta and shift that its log entry shows, and every step is
+    # taken in full
+    solves = []
     krylov_solve = solver._krylov_solve
-    for eta_max in (solver._ETA_MAX, solver._GMRES_RTOL):
-        monkeypatch.setattr(solver, "_ETA_MAX", eta_max)
-        monkeypatch.setattr(solver, "_krylov_solve", krylov_solve)
-        reference = slag_patch_from_harmonic_guess()
-        undamped = solver.solve(reference, initial_guess=False)
-        assert undamped.damping_history == [1.0] * undamped.iterations
-        patch = slag_patch_from_harmonic_guess()
-        scaled_linear_steps(monkeypatch, 4.0)
-        report = solver.solve(patch, initial_guess=False)
-        assert report.converged
-        assert report.damping_history == [0.25] * undamped.iterations
-        assert np.array_equal(patch.values, reference.values)
+
+    def recording(patch, action, rhs, rtol, shift):
+        solves.append((rtol, shift))
+        return krylov_solve(patch, action, rhs, rtol, shift)
+
+    monkeypatch.setattr(solver, "_krylov_solve", recording)
+    patch = slag_patch_from_harmonic_guess()
+    start = float(np.max(np.abs(solver.strong_residual_field(patch))))
+    report = solver.solve(patch, initial_guess=False)
+    assert report.converged
+    assert report.damping_history == [1.0] * report.iterations
+    log = report.iteration_log
+    assert solves == [(entry["eta"], entry["shift"]) for entry in log]
+    residuals = [start] + [entry["residual"] for entry in log]
+    shifts = [entry["shift"] for entry in log]
+    assert shifts == pytest.approx([r / 10 for r in residuals[:-1]], rel=1e-12)
 
 
 def test_divergence_aborts_with_the_best_iterate_restored(monkeypatch):
@@ -525,60 +470,46 @@ def central_difference_jacobian(patch, eps=1e-6):
     return np.stack(columns, axis=1)
 
 
-def action_matrix(patch, include_gradient_terms):
+def action_matrix(patch, shift):
     """The matrix of ``_jacobian_action``, one unit direction per column."""
-    action = solver._jacobian_action(patch, include_gradient_terms)
+    action = solver._jacobian_action(patch, shift)
     size = math.prod(d - 2 for d in patch.dims) * patch.m
     return np.stack([action(unit) for unit in np.eye(size)], axis=1)
 
 
-@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_newton_matrix_is_the_residual_jacobian(dims, m):
-    # the Newton action, applied column by column, against central differences
+@pytest.mark.parametrize("dims, m, shift", [
+    pytest.param(dims, m, shift, id=f"{m}-dims{k}{suffix}")
+    for shift, suffix in [(0.0, ""), (3.0, "-shift3")]
+    for m in [1, 2, 3]
+    for k, dims in enumerate([(7, 6), (6, 5, 7), (5, 5, 5, 4)])
+])
+def test_newton_matrix_is_the_residual_jacobian(dims, m, shift):
+    # the shifted Newton action, applied column by column, against central
+    # differences less the shift
     patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
-    A = action_matrix(patch, include_gradient_terms=True)
-    J = central_difference_jacobian(patch)
+    A = action_matrix(patch, shift)
+    J = central_difference_jacobian(patch) - shift * np.eye(len(A))
     assert np.max(np.abs(A - J)) <= 1e-8 * np.max(np.abs(A))
 
 
-@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 7), (5, 5, 5, 4)])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_picard_matrix_applies_the_frozen_metric(dims, m):
-    # the Picard action maps delta to g0^{ij} D_ij delta, with g0 = g(Du) of
-    # the patch frozen and delta zero on the boundary
-    patch = smooth_patch(dims, m, seed=len(dims) * 10 + m)
-    Du, _ = solver._interior_derivatives(patch.values, patch.spacing)
-    ginv = np.linalg.inv(np.eye(patch.n) + np.einsum("...ai,...aj->...ij", Du, Du))
-    delta = solver.GraphPatch(patch.n, m, dims, patch.spacing, patch.origin,
-                              np.zeros(dims + (m,)))
-    inner = tuple(slice(1, -1) for _ in dims)
-    delta.values[inner] = np.random.default_rng(m).standard_normal(Du.shape[:-1])
-    _, H = solver._interior_derivatives(delta.values, delta.spacing)
-    expected = np.einsum("...kl,...akl->...a", ginv, H).ravel()
-    picard = solver._jacobian_action(patch, include_gradient_terms=False)
-    got = picard(delta.values[inner].ravel())
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("dims, rtol", [
-    pytest.param(dims, rtol, id=f"dims{k}{suffix}")
+@pytest.mark.parametrize("dims, rtol, shift", [
+    pytest.param(dims, rtol, 0.0, id=f"dims{k}{suffix}")
     for rtol, suffix in [(solver._GMRES_RTOL, ""), (1e-3, "-rtol1e-3"), (0.1, "-rtol0.1")]
     for k, dims in enumerate([(33, 33), (9, 8, 7), (7, 6, 7, 5)])
-])
-def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims, rtol):
+] + [pytest.param((9, 8, 7), solver._GMRES_RTOL, 3.0, id="dims1-shift3")])
+def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims, rtol, shift):
     # preconditioned GMRES solves a Newton system to the relative tolerance
     # on its true residual, well inside one restart cycle: the first slag-exp
     # step in 2-D, smooth data in 3-D and 4-D, at the floor and at two
-    # forcing terms
+    # forcing terms, and one system shifted as a pseudo-transient step is
     if len(dims) == 2:
         patch = solver.GraphPatch.from_model(model_slag_exp(), [0, 0], dims, 1 / 32)
         solver.harmonic_initial_guess(patch)
     else:
         patch = smooth_patch(dims, 2, seed=len(dims))
-    action = solver._jacobian_action(patch, include_gradient_terms=True)
+    action = solver._jacobian_action(patch, shift)
     rhs = -solver.strong_residual_field(patch)
-    x, stats = solver._krylov_solve(patch, action, rhs, rtol)
+    x, stats = solver._krylov_solve(patch, action, rhs, rtol, shift)
     assert stats["gmres_converged"]
     assert stats["gmres_iterations"] <= 40
     residual = np.linalg.norm(action(x.ravel()) - rhs.ravel())
@@ -602,7 +533,7 @@ def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, rtol,
     monkeypatch.setattr(solver, "_GMRES_RESTART", restart)
     monkeypatch.setattr(solver, "_GMRES_CYCLES", cycles)
     patch = smooth_patch((9, 8, 7), 2, seed=3)
-    action = solver._jacobian_action(patch, include_gradient_terms=True)
+    action = solver._jacobian_action(patch, 0.0)
     rhs = -solver.strong_residual_field(patch)
     x, stats = solver._krylov_solve(patch, action, rhs, rtol)
 
@@ -672,8 +603,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_solver_stencil_has_one_home():
     # difference quotients are written only in _interior_derivatives: the
-    # Newton and Picard actions, the preconditioner's eigenvalues and the
-    # harmonic guess all apply it
+    # Newton action, the preconditioner's eigenvalues and the harmonic guess
+    # all apply it
     own = inspect.getsource(solver._interior_derivatives)
     text = Path(solver.__file__).read_text()
     assert own in text
@@ -683,9 +614,22 @@ def test_solver_stencil_has_one_home():
 
 
 def test_solver_residual_has_one_home_in_solve():
-    # every residual of a solve, the start, each trial step and each halving,
-    # is evaluated by one helper
+    # every residual of a solve, the start and each step, is evaluated by one
+    # helper
     assert inspect.getsource(solver.solve).count("strong_residual_field(") == 1
+
+
+def test_solve_has_one_linear_solve():
+    # each iteration takes one full pseudo-transient step: one linear solve,
+    # written in the loop itself, and no helper that a fallback or a retry
+    # could call a second time
+    tree = ast.parse(textwrap.dedent(inspect.getsource(solver.solve)))
+    (body,) = tree.body
+    loop = next(node for node in body.body if isinstance(node, ast.While))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_krylov_solve"]
+    assert inspect.getsource(solver.solve).count("_krylov_solve(") == 1
+    assert len(calls) == 1 and any(node is calls[0] for node in ast.walk(loop))
 
 
 def test_solve_4d_cone_from_exact_boundary_data():
@@ -711,7 +655,7 @@ def test_solve_scherk_from_exact_boundary_data():
     # Scherk's surface u = log(cos y / cos x), m = 1 and not harmonic, on
     # [-1.45, 1.45]^2: its slope grows toward the corners, where
     # |u_x| = |u_y| = tan 1.45 = 8.2, and GMRES needs more iterations per
-    # step as the grid is refined: [5, 5, 8, 11, 11], [6, 8, 8, 14, 22] and
+    # step as the grid is refined: [5, 5, 9, 11, 12], [6, 8, 8, 13, 23] and
     # [7, 10, 11, 15, 28, 26] at 17, 33 and 65 nodes
     errs = []
     for nodes, steps in ((17, 5), (33, 5), (65, 6)):
@@ -728,6 +672,40 @@ def test_solve_scherk_from_exact_boundary_data():
         errs.append(np.max(np.abs(patch.values - exact)))
     # second order: the error falls like h^2 from 32 to 64 cells per axis
     assert errs[1] / errs[2] >= 0.9 * 4
+
+
+# the benchmark's 17^3 boundary data: fixed non-harmonic quadratic forms and
+# affine parts, which each seed perturbs by up to 0.05 per entry
+_Q3 = np.array([[[0.6, 0.3, -0.2], [0.3, 0.2, 0.4], [-0.2, 0.4, -0.1]],
+                [[-0.3, 0.2, 0.5], [0.2, 0.7, -0.3], [0.5, -0.3, 0.4]]])
+_B3 = np.array([[0.3, -0.2, 0.1], [-0.1, 0.25, 0.2]])
+
+
+def test_solve_converges_on_steep_boundary_data():
+    # the 17^3 data scaled by 30 has slopes near 30, where Newton steps
+    # overshoot: pseudo-transient steps must solve at least 4 of seeds 0-4
+    # within 200 iterations, each component's interior inside its boundary
+    # range as the maximum principle for minimal graphs requires
+    dims, converged = (17, 17, 17), 0
+    for seed in range(5):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 20]))
+        patch = solver.GraphPatch(3, 2, dims, 1 / 16, np.zeros(3),
+                                  np.zeros(dims + (2,)))
+        x = patch.node_coords()
+        for alpha in range(2):
+            b = _B3[alpha] + rng.uniform(-0.05, 0.05, 3)
+            q = rng.uniform(-0.05, 0.05, (3, 3))
+            q = _Q3[alpha] + 0.5 * (q + q.T)
+            quadratic = np.einsum("...i,ij,...j->...", x, q, x)
+            patch.values[..., alpha] = 30 * (x @ b + quadratic)
+        patch.values[1:-1, 1:-1, 1:-1] = 0.0
+        boundary = patch.values[patch.boundary_mask]
+        report = solver.solve(patch, max_iter=200)
+        converged += report.converged
+        interior = patch.values[1:-1, 1:-1, 1:-1].reshape(-1, 2)
+        assert np.all(interior >= boundary.min(axis=0) - 1e-9)
+        assert np.all(interior <= boundary.max(axis=0) + 1e-9)
+    assert converged >= 4
 
 
 def test_solver_forms_no_log_v(monkeypatch):
