@@ -69,6 +69,20 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _floats(value, key: str) -> list:
+    """A config list of numbers, as floats.
+
+    Anything else, a JSON true or false among them included, is refused
+    naming ``key``.
+    """
+    if isinstance(value, list) and not any(isinstance(v, bool) for v in value):
+        try:
+            return [float(v) for v in value]
+        except (TypeError, ValueError):
+            pass
+    raise InvalidConfigError(f"config key '{key}' must be a list of numbers, got {value!r}")
+
+
 def _seed(args, cfg) -> int:
     """The run's seed: ``--seed``, else the config's 'seed' (default 1)."""
     seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 1), "seed")
@@ -140,8 +154,8 @@ def cmd_verify_algebra(args) -> int:
     step = float(cfg.get("grid_step", 0.05))
     samples = _integer(cfg.get("samples", 100000), "samples")
     constraint = cfg.get("constraint", "sharp")
-    lam_values = [float(v) for v in cfg.get("lam_values", [0.5, 1.0, 1.2, math.sqrt(2)])]
-    eps_values = [float(v) for v in cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01])]
+    lam_values = _floats(cfg.get("lam_values", [0.5, 1.0, 1.2, math.sqrt(2)]), "lam_values")
+    eps_values = _floats(cfg.get("eps_values", [0.3, 0.1, 0.03, 0.01]), "eps_values")
     # each value checked once, before the pool: a report refuses a bad one only
     # after the reports ahead of it have run
     algebra._grid_divisions(step)
@@ -202,6 +216,9 @@ def cmd_solve(args) -> int:
         origin = cfg.get("origin")
         if dims is None or spacing is None or origin is None:
             raise InvalidConfigError("solve config needs dims, spacing, origin")
+        if not isinstance(dims, list):
+            raise InvalidConfigError(f"config key 'dims' must be a list of integers, "
+                                     f"got {dims!r}")
         dims = [_integer(d, "dims") for d in dims]
         _check_unknowns(dims, model.m)
         patch = solver.GraphPatch.from_model(model, origin, dims, float(spacing))
@@ -295,15 +312,24 @@ def cmd_diagnose(args) -> int:
         print(f"  FAIL margin {worst_margin:.3e} below {margin_floor} "
               f"at {witness.tolist()}")
         return EXIT_ASSERTION
+    # with no points the margin is the empty minimum, inf, and nothing failed
+    if len(pts) and not (math.isfinite(worst_gap) and math.isfinite(worst_margin)):
+        print(f"  FAIL max|gap| {worst_gap!r} or min margin {worst_margin!r} "
+              "is not finite")
+        return EXIT_ASSERTION
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
     cfg = _load_config(args)
     model = _get_model(cfg)
-    radii = [float(r) for r in cfg.get("radii", [])]
+    radii = _floats(cfg.get("radii", []), "radii")
     resolution = _integer(cfg.get("resolution", 64), "resolution")
     bounds = cfg.get("volume_lower_bounds", [])
+    if not isinstance(bounds, list) or any(
+            len(_floats(pair, "volume_lower_bounds")) != 2 for pair in bounds):
+        raise InvalidConfigError(f"config key 'volume_lower_bounds' must be a list of "
+                                 f"[radius, bound] pairs, got {bounds!r}")
     for rho, _ in bounds:
         if float(rho) not in radii:
             raise InvalidConfigError(

@@ -66,6 +66,20 @@ def _ambient_center(model: AnalyticModel, center) -> np.ndarray:
     return center
 
 
+def _ball_volume(n: int, radii, key: str):
+    """omega_n r^n per radius, refused where a finite radius overflows it.
+
+    A float radius takes numpy's scalar power, which has the bits of
+    Python's; a NaN or infinite radius is left to the rule's own check.
+    """
+    with np.errstate(over="ignore"):
+        volume = unit_ball_volume(n) * np.float64(radii) ** n
+    if np.any(np.isinf(volume) & np.isfinite(radii)):
+        raise ValueError(f"{key} must have a finite ball volume omega_{n} r^{n}, "
+                         f"got {np.asarray(radii).tolist()}")
+    return volume
+
+
 def graph_volume(
     model: AnalyticModel,
     center,
@@ -82,6 +96,7 @@ def graph_volume(
         raise ValueError(f"resolution must be an integer >= 32, got {resolution!r}")
     center = _ambient_center(model, center)
     n = model.n
+    ball = float(_ball_volume(n, radius, "radius"))
 
     def margin(x):
         # radius - |(x, u(x)) - center|, summed column by column in
@@ -99,7 +114,7 @@ def graph_volume(
     fine, coarse = (_polar_ball_sum(lambda x: np.exp(log_slope(model.jacobian(x))),
                                     center[:n], radius, nodes, "resolution", margin)
                     for nodes in (resolution, resolution // 2))
-    err = abs(fine - coarse) + _ROUNDING * max(fine, unit_ball_volume(n) * radius**n)
+    err = abs(fine - coarse) + _ROUNDING * max(fine, ball)
     return VolumeReport(
         region=f"ball(r={radius!r})", value=fine, resolution=resolution, est_error=err
     )
@@ -124,16 +139,18 @@ def density_profile(
             f"radii must be at least two and strictly increasing, got {radii.tolist()}")
     center = _ambient_center(model, center)
     n = model.n
+    scale = _ball_volume(n, radii, "radii")
     base = center[:n]
     if bool(np.asarray(model.in_domain(base))):
-        gap = np.linalg.norm(model.graph_point(base) - center)
-        # written so that a NaN gap fails it
-        if not gap <= 1e-9 * (1.0 + np.linalg.norm(center)):
+        # |gap| <= 1e-9 (1 + |center|) with both sides divided by s >= 1, so
+        # that neither norm overflows; written so that a NaN gap fails it
+        s = max(1.0, float(np.max(np.abs(center))))
+        gap = np.linalg.norm((model.graph_point(base) - center) / s)
+        if not gap <= 1e-9 * (1.0 / s + np.linalg.norm(center / s)):
             raise ValueError("center does not lie on the graph")
     reports = run_chunks(lambda rho: graph_volume(model, center, float(rho), resolution),
                          radii, threads)
     volumes = np.array([rep.value for rep in reports])
-    scale = unit_ball_volume(n) * radii**n
     return DensityProfile(
         center=center,
         radii=radii,

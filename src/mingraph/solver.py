@@ -6,9 +6,11 @@ sum_{ij} g^{ij} d^2 u^alpha / dx_i dx_j = 0 is discretized with second-order
 central differences, written once in ``_interior_derivatives``, and solved by
 Newton's method under pseudo-transient continuation.  No matrix is formed:
 GMRES solves each shifted linear step with the operator applied to vectors,
-right-preconditioned by the residual's own Laplacian tr H, shifted alike,
-which a sine transform diagonalizes.  The slope is bounded, so the operator
-is spectrally equivalent to that Laplacian uniformly in the spacing.
+right-preconditioned by the residual's own Laplacian tr H, which a sine
+transform diagonalizes, scaled by the metric: the principal part is about
+a tr H with a = tr g^{-1} / n, so the residual is divided by a and the shift
+by its mean before the transform solve.  The slope is bounded, so the
+operator is spectrally equivalent to that Laplacian uniformly in the spacing.
 """
 
 from __future__ import annotations
@@ -238,20 +240,63 @@ def _poisson_solve(patch: GraphPatch, f, shift: float = 0.0) -> np.ndarray:
     return _sine_transform(_sine_transform(f, patch.n) / symbol[..., None], patch.n)
 
 
+def _gradient_coefficient(ginv, Du, H):
+    """coeff[..., alpha, beta, r] = -2 (g^{-1} H^alpha g^{-1} Du^beta)_r.
+
+    Formed over contiguous batch columns laid out axes-first, as ``_gram``
+    forms g: w^beta = g^{-1} Du^beta, P^alpha = g^{-1} H^alpha, then
+    coeff = -2 P w^T, each entry a product and a running sum over the small
+    index axes.  On n, m <= 4 that beats the three-operand einsum, its
+    ``optimize=True`` path and batched matmuls.
+    """
+    G = np.moveaxis(ginv, (-2, -1), (0, 1)).copy()
+    D = np.moveaxis(Du, (-2, -1), (0, 1)).copy()
+    Hc = np.moveaxis(H, (-3, -2, -1), (0, 1, 2)).copy()
+    m, n = D.shape[:2]
+
+    def dot(out, xs, ys):  # out = sum_k xs[k] ys[k], batch column by column
+        np.multiply(xs[0], ys[0], out=out)
+        for k in range(1, n):
+            out += xs[k] * ys[k]
+
+    W, P = np.empty_like(D), np.empty_like(Hc)
+    for a in range(m):
+        for r in range(n):
+            dot(W[a, r], G[r], D[a])
+            for j in range(n):
+                dot(P[a, r, j], G[r], Hc[a, :, j])
+    del G, D, Hc  # before coeff is allocated, which lowers a solve's peak memory
+    coeff = np.empty((m, m) + W.shape[1:])
+    for a in range(m):
+        for b in range(m):
+            for r in range(n):
+                dot(coeff[a, b, r], P[a, r], W[b])
+    coeff *= -2.0
+    # a view: the action's einsum reads it as fast as a contiguous copy
+    return np.moveaxis(coeff, (0, 1, 2), (-3, -2, -1))
+
+
 def _jacobian_action(patch: GraphPatch, shift: float):
-    """The strong residual's derivative J at ``patch``, shifted: v -> J v - shift v.
+    """The residual's shifted derivative v -> J v - shift v and its preconditioner.
 
     The residual is g^{kl}(Du) H_kl.  A direction v (flat interior values,
     zero on the boundary) enters through Dv and Hv from
     ``_interior_derivatives``.  The principal part g^{kl} Hv^alpha_kl acts
     on each component; the gradient terms -2 (g^{-1} H^alpha g^{-1}
-    Du^beta)_r Dv^beta_r differentiate g^{kl} through Du.  Both
-    coefficients are frozen here.
+    Du^beta)_r Dv^beta_r (``_gradient_coefficient``) differentiate g^{kl}
+    through Du.  Both coefficients are frozen here.
+
+    The principal part is about a L with a = tr g^{-1} / n at each node and
+    L = tr H, and a L - shift = a (L - shift / a).  So the preconditioner is
+    M r = (L - shift / mean(a))^{-1} (r / a) by ``_poisson_solve``, which
+    inverts J - shift exactly where g is a constant multiple of I and H = 0
+    (Concus & Golub 1973 scale a fast Poisson solver by the coefficient).
     """
     Du, H = _interior_derivatives(patch.values, patch.spacing)
     ginv = metric_inverse(Du)
-    w = np.einsum("...ij,...aj->...ai", ginv, Du)  # (..., beta, r)
-    coeff = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
+    coeff = _gradient_coefficient(ginv, Du, H)
+    scale = np.trace(ginv, axis1=-2, axis2=-1)[..., None] / patch.n
+    scaled_shift = shift / float(np.mean(scale))
     direction = np.zeros_like(patch.values)
     inner = _shift(direction, [0] * patch.n)  # a view: written below
 
@@ -262,14 +307,19 @@ def _jacobian_action(patch: GraphPatch, shift: float):
         out += np.einsum("...abr,...br->...a", coeff, Dv)
         return out.ravel() - shift * v
 
-    return action
+    def precondition(r):
+        return _poisson_solve(patch, r.reshape(inner.shape) / scale,
+                              scaled_shift).ravel()
+
+    return action, precondition
 
 
-def _krylov_solve(patch: GraphPatch, action, rhs, rtol: float, shift: float = 0.0):
+def _krylov_solve(action, precondition, rhs, rtol: float):
     """Solve action(x) = rhs (inner dims + (m,)) by preconditioned GMRES.
 
     Restarted GMRES (Saad & Schultz 1986) from x = 0, right-preconditioned by
-    M = ``_poisson_solve`` at ``shift``: Arnoldi on action(M v) by modified
+    M = ``precondition``; both maps take and return flat vectors, as
+    ``_jacobian_action`` builds them.  Arnoldi on action(M v) by modified
     Gram-Schmidt, and Givens rotations as LAPACK's dlartg forms them between
     under- and overflow.  A cycle starts from the true residual, whose norm
     the rotated Hessenberg residual then estimates; it stops there at
@@ -279,10 +329,6 @@ def _krylov_solve(patch: GraphPatch, action, rhs, rtol: float, shift: float = 0.
     ``_GMRES_RESTART`` iterations.
     """
     shape, b = rhs.shape, rhs.ravel()
-
-    def precondition(r):
-        return _poisson_solve(patch, r.reshape(shape), shift).ravel()
-
     start = time.perf_counter()
     eps, restart = np.finfo(float).eps, min(_GMRES_RESTART, b.size)
     v, h = np.empty((restart + 1, b.size)), np.zeros((restart, restart + 1))
@@ -388,9 +434,9 @@ def solve(
         floor = 0.5 * tol / float(np.linalg.norm(R))
         eta = min(_ETA_MAX, max(forcing, floor, _GMRES_RTOL))
         start = time.perf_counter()
-        action = _jacobian_action(patch, shift)
+        action, precondition = _jacobian_action(patch, shift)
         assembled = time.perf_counter() - start
-        delta, stats = _krylov_solve(patch, action, -R, eta, shift)
+        delta, stats = _krylov_solve(action, precondition, -R, eta)
         trial, trial_norm = residual_at(patch.values[inner] + delta)
         log.append(dict(stats, assemble_s=assembled, iteration=len(log) + 1,
                         residual=trial_norm, step=1.0, eta=eta, shift=shift))

@@ -151,10 +151,10 @@ def test_solve_logs_each_newton_iteration(tmp_path):
 
 
 def test_solve_logs_a_missed_gmres_tolerance(tmp_path, monkeypatch):
-    # two GMRES iterations and no restart cannot reach the relative
+    # one GMRES iteration and no restart cannot reach the relative
     # tolerance: run.log must flag every linear solve, while the report
     # judges convergence on the strong residual of the solved patch
-    monkeypatch.setattr(solver, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 1)
     monkeypatch.setattr(solver, "_GMRES_CYCLES", 1)
     cfg = write_cfg(tmp_path, "solve.json",
                     {"model": "slag-exp", "origin": [0, 0], "dims": [17, 17],
@@ -167,7 +167,7 @@ def test_solve_logs_a_missed_gmres_tolerance(tmp_path, monkeypatch):
              if line.startswith("{")]
     assert len(lines) == report["iterations"] >= 1
     assert [entry["gmres_converged"] for entry in lines] == [False] * len(lines)
-    assert all(entry["gmres_iterations"] == 2 for entry in lines)
+    assert all(entry["gmres_iterations"] == 1 for entry in lines)
     patch = solver.load_patch(out / "solved.json")
     residual = float(np.max(np.abs(solver.strong_residual_field(patch))))
     assert report["residual"] == residual
@@ -396,6 +396,29 @@ def test_measure_non_finite_center_is_invalid_input(tmp_path, capsys, model, cen
     assert not (tmp_path / "o" / "measure.csv").exists()
 
 
+def test_measure_radii_whose_ball_volume_overflows_are_invalid_input(tmp_path, capsys):
+    # omega_2 r^2 overflows at r = 1e300: refused before any quadrature, where
+    # it used to escape as an OverflowError (exit 1)
+    cfg = write_cfg(tmp_path, "m.json", {"model": "slag-exp", "radii": [1e300, 2e300],
+                                          "resolution": 32})
+    out = tmp_path / "o"
+    assert run(["measure", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    line = _error_line(capsys)
+    assert "radii" in line and "1e+300" in line
+    assert not out.exists()
+
+
+def test_measure_center_far_off_the_graph_is_invalid_input(tmp_path, capsys):
+    # |center| overflows a plain norm, so the on-graph test must not compare
+    # inf with inf: the centre is refused, not measured to ratios of 0
+    cfg = write_cfg(tmp_path, "m.json", {"model": "slag-exp", "center": [0, 0, 1e308, 0],
+                                          "radii": [1.0, 2.0], "resolution": 32})
+    out = tmp_path / "o"
+    assert run(["measure", "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert "center does not lie on the graph" in _error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("center", [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
 def test_measure_center_of_the_wrong_length_is_invalid_input(tmp_path, capsys, center):
     # slag-exp lives in R^(2+2): the length is refused before the on-graph test
@@ -506,6 +529,21 @@ def test_diagnose_nan_fails_its_assertion(key, value, tmp_path, capsys):
     assert summary["max_abs_gap"] is None and summary["min_margin_sqrt2"] is None
 
 
+def test_diagnose_non_finite_gap_exits_non_zero(tmp_path, capsys):
+    # a step of 1e300 makes every difference quotient NaN: with no assertion
+    # set, the run must still not pass, and the report writes the gap as null
+    cfg = write_cfg(tmp_path, "diag.json", {"model": "slag-exp", "points": {"count": 5},
+                                             "step": 1e300})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = run(["diagnose", "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_ASSERTION
+    assert "not finite" in capsys.readouterr().out
+    summary = json.loads((out / "diagnose_summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["max_abs_gap"] is None
+
+
 def _refuse_constant(token):
     raise ValueError(f"report holds the non-JSON constant {token}")
 
@@ -543,6 +581,29 @@ def test_non_integral_config_value_is_invalid_input(sub, payload, key, tmp_path,
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert run([sub, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_INVALID
     assert f"'{key}'" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("sub,payload,key", [
+    ("solve", {"model": "affine", "origin": [0, 0], "dims": 5, "spacing": 0.25}, "dims"),
+    ("measure", {"model": "affine", "radii": [1, 2], "volume_lower_bounds": [1]},
+     "volume_lower_bounds"),
+    ("measure", {"model": "affine", "radii": [1, 2],
+                 "volume_lower_bounds": [[1, 2, 3]]}, "volume_lower_bounds"),
+    ("measure", {"model": "affine", "radii": 2}, "radii"),
+    ("measure", {"model": "affine", "radii": [1, True]}, "radii"),
+    ("verify-algebra", {"grid_step": 0.5, "samples": 100, "lam_values": 1.0},
+     "lam_values"),
+    ("verify-algebra", {"grid_step": 0.5, "samples": 100, "eps_values": [{}]},
+     "eps_values"),
+], ids=["dims", "bounds-entry", "bounds-pair", "radii", "radii-bool", "lam_values",
+        "eps_values"])
+def test_config_list_of_the_wrong_shape_names_its_key(sub, payload, key, tmp_path,
+                                                      capsys):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert run([sub, "--config", cfg, "--out", str(out)]) == cli.EXIT_INVALID
+    assert f"'{key}'" in _error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub,payload", [

@@ -249,6 +249,19 @@ def test_graph_volume_rejects_a_non_finite_center(monkeypatch, center, profile_e
         measure.density_profile(model_slag_exp(), center, [1.0, 2.0])
 
 
+def test_a_ball_volume_that_overflows_is_refused_before_any_quadrature(monkeypatch):
+    # omega_n r^n is the ratio's denominator and the error floor's scale
+    def no_quadrature(*args):
+        raise AssertionError("the radii must be checked before any quadrature")
+
+    monkeypatch.setattr(measure, "_polar_ball_sum", no_quadrature)
+    center = [0.0, 0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="radius must have a finite ball volume"):
+        measure.graph_volume(model_slag_exp(), center, 1e300)
+    with pytest.raises(ValueError, match="radii must have a finite ball volume"):
+        measure.density_profile(model_slag_exp(), center, [1.0, 1e300])
+
+
 @pytest.mark.parametrize("radii", [[2.0, 1.0], [1.0, 1.0], [1.0]],
                          ids=["decreasing", "repeated", "single"])
 def test_density_profile_refuses_bad_radii_before_any_quadrature(monkeypatch, radii):

@@ -390,14 +390,19 @@ def test_pseudo_time_shift_follows_ser(monkeypatch):
     # (SER), which keeps sigma_k = |F_k| / 10; each step's one linear solve
     # runs at the eta and shift that its log entry shows, and every step is
     # taken in full
-    solves = []
-    krylov_solve = solver._krylov_solve
+    solves, shifts = [], []
+    krylov_solve, jacobian_action = solver._krylov_solve, solver._jacobian_action
 
-    def recording(patch, action, rhs, rtol, shift):
-        solves.append((rtol, shift))
-        return krylov_solve(patch, action, rhs, rtol, shift)
+    def recording(action, precondition, rhs, rtol):
+        solves.append((rtol, shifts[-1]))
+        return krylov_solve(action, precondition, rhs, rtol)
+
+    def recording_shift(patch, shift):
+        shifts.append(shift)
+        return jacobian_action(patch, shift)
 
     monkeypatch.setattr(solver, "_krylov_solve", recording)
+    monkeypatch.setattr(solver, "_jacobian_action", recording_shift)
     patch = slag_patch_from_harmonic_guess()
     start = float(np.max(np.abs(solver.strong_residual_field(patch))))
     report = solver.solve(patch, initial_guess=False)
@@ -472,7 +477,7 @@ def central_difference_jacobian(patch, eps=1e-6):
 
 def action_matrix(patch, shift):
     """The matrix of ``_jacobian_action``, one unit direction per column."""
-    action = solver._jacobian_action(patch, shift)
+    action, _ = solver._jacobian_action(patch, shift)
     size = math.prod(d - 2 for d in patch.dims) * patch.m
     return np.stack([action(unit) for unit in np.eye(size)], axis=1)
 
@@ -492,6 +497,41 @@ def test_newton_matrix_is_the_residual_jacobian(dims, m, shift):
     assert np.max(np.abs(A - J)) <= 1e-8 * np.max(np.abs(A))
 
 
+@pytest.mark.parametrize("n, m", list(itertools.product([2, 3, 4], [1, 2, 3])))
+def test_gradient_coefficient_matches_the_einsum(n, m):
+    # the loops over batch columns against the three-operand einsum they
+    # replace, on random Jacobians and symmetric Hessians
+    rng = np.random.default_rng(10 * n + m)
+    Du = rng.standard_normal((7, 5, m, n))
+    H = rng.standard_normal((7, 5, m, n, n))
+    H = H + np.swapaxes(H, -2, -1)
+    ginv = grassmann.metric_inverse(Du)
+    w = np.einsum("...ij,...aj->...ai", ginv, Du)
+    expected = -2.0 * np.einsum("...ri,...aij,...bj->...abr", ginv, H, w)
+    coeff = solver._gradient_coefficient(ginv, Du, H)
+    assert coeff.shape == expected.shape
+    assert np.max(np.abs(coeff - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_scaled_preconditioner_is_exact_on_a_conformal_metric(shift):
+    # affine data u = t R x with R a rotation has g = (1 + t^2) I and H = 0,
+    # so J - shift = a L - shift with a = 1 / (1 + t^2), which the metric's
+    # scale inverts exactly: preconditioned GMRES takes one iteration
+    t, angle = 2.0, 0.7
+    rotation = np.array([[np.cos(angle), -np.sin(angle)],
+                         [np.sin(angle), np.cos(angle)]])
+    patch = solver.GraphPatch(2, 2, (13, 11), 0.1, np.array([0.2, -0.3]),
+                              np.zeros((13, 11, 2)))
+    patch.values[:] = t * patch.node_coords() @ rotation.T
+    action, precondition = solver._jacobian_action(patch, shift)
+    rhs = np.random.default_rng(5).standard_normal((11, 9, 2))
+    x, stats = solver._krylov_solve(action, precondition, rhs, 1e-10)
+    assert stats["gmres_converged"]
+    assert stats["gmres_iterations"] == 1
+    assert np.linalg.norm(action(x.ravel()) - rhs.ravel()) <= 1e-10 * np.linalg.norm(rhs)
+
+
 @pytest.mark.parametrize("dims, rtol, shift", [
     pytest.param(dims, rtol, 0.0, id=f"dims{k}{suffix}")
     for rtol, suffix in [(solver._GMRES_RTOL, ""), (1e-3, "-rtol1e-3"), (0.1, "-rtol0.1")]
@@ -507,9 +547,9 @@ def test_krylov_solve_meets_its_tolerance_on_the_newton_system(dims, rtol, shift
         solver.harmonic_initial_guess(patch)
     else:
         patch = smooth_patch(dims, 2, seed=len(dims))
-    action = solver._jacobian_action(patch, shift)
+    action, precondition = solver._jacobian_action(patch, shift)
     rhs = -solver.strong_residual_field(patch)
-    x, stats = solver._krylov_solve(patch, action, rhs, rtol, shift)
+    x, stats = solver._krylov_solve(action, precondition, rhs, rtol)
     assert stats["gmres_converged"]
     assert stats["gmres_iterations"] <= 40
     residual = np.linalg.norm(action(x.ravel()) - rhs.ravel())
@@ -533,12 +573,9 @@ def test_krylov_solve_follows_scipy_gmres(monkeypatch, restart, cycles, rtol,
     monkeypatch.setattr(solver, "_GMRES_RESTART", restart)
     monkeypatch.setattr(solver, "_GMRES_CYCLES", cycles)
     patch = smooth_patch((9, 8, 7), 2, seed=3)
-    action = solver._jacobian_action(patch, 0.0)
+    action, precondition = solver._jacobian_action(patch, 0.0)
     rhs = -solver.strong_residual_field(patch)
-    x, stats = solver._krylov_solve(patch, action, rhs, rtol)
-
-    def precondition(r):
-        return solver._poisson_solve(patch, r.reshape(rhs.shape)).ravel()
+    x, stats = solver._krylov_solve(action, precondition, rhs, rtol)
 
     # the right-preconditioned system action(precondition(y)) = rhs, with no M,
     # and x = precondition(y)
@@ -578,12 +615,14 @@ def test_forcing_term_saves_gmres_work_at_no_cost_in_accuracy(monkeypatch):
 def test_krylov_solve_degenerate_systems_stay_finite():
     # a zero rhs takes no iteration; a zero action breaks down at once, and
     # its Givens rotation of (0, 0) leaves x = 0, as scipy's gmres does
-    patch = solver.GraphPatch(2, 1, (6, 6), 0.25, [0, 0], np.zeros((6, 6, 1)))
+    def identity(r):
+        return r
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, zero_rhs = solver._krylov_solve(patch, np.negative, np.zeros((4, 4, 1)),
+        _, zero_rhs = solver._krylov_solve(np.negative, identity, np.zeros((4, 4, 1)),
                                           solver._GMRES_RTOL)
-        x, zero_action = solver._krylov_solve(patch, np.zeros_like, np.ones((4, 4, 1)),
+        x, zero_action = solver._krylov_solve(np.zeros_like, identity, np.ones((4, 4, 1)),
                                              solver._GMRES_RTOL)
     assert zero_rhs["gmres_iterations"] == 0 and zero_rhs["gmres_converged"]
     assert zero_action["gmres_iterations"] == 1 and not zero_action["gmres_converged"]
